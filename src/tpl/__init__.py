@@ -68,5 +68,4 @@ from .asymptotic import (
     strassen_rank_bounds,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

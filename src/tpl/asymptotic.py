@@ -13,24 +13,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .catalog import Catalog
-from .hypergraph import build_structure, make_family, structure_dims
+from .hypergraph import StructureTooLarge, build_structure, make_family, structure_dims
 from .matrix import rank
 from .named import ghz, mamu
 from .obstructions import KoszulSpec, flattening_ratio, gauge_points, koszul_flatten
 from .preorder import (
     CertificateError,
     DegenerationCertificate,
-    interpolate,
+    _interpolate,
     verify_degeneration,
 )
 from .tensor import equal_up_to_padding, kron_power, strip_padding
 
 MATRIX_SIDE_GUARD = 10**5
 STRUCTURE_ENTRY_GUARD = 10**6
-
-
-class StructureTooLarge(ValueError):
-    """Desk-scale guard: the requested finite structure will not fit."""
 
 
 @dataclass(frozen=True)
@@ -247,10 +243,12 @@ def lattice_obstruction(t, other, covering, spec):
 def lattice_construction(t, other, degcert, family, n):
     """Edgewise degeneration on a lattice patch, closed by interpolation.
 
-    From a verified degeneration t |> other, places the eps maps on every
-    edge of the n-face patch, verifies the induced structure degeneration,
-    and interpolates once globally. The result is an exactly verified
-    restriction from a direct sum of at most n*e + 1 structure copies.
+    Verifies the edge degeneration t |> other (degrees d, e), places its
+    eps maps on every edge of the n-face patch, and interpolates once
+    globally. The structure degeneration is not expanded: each structure
+    entry is a product of n edge entries, so its degrees are (n*d, n*e).
+    The result is an exactly verified restriction from a direct sum of
+    n*e + 1 structure copies.
     """
     ok, d, e = verify_degeneration(t, other, degcert)
     if not ok:
@@ -273,11 +271,7 @@ def lattice_construction(t, other, degcert, family, n):
             m = factor if m is None else m.kron(factor)
         maps.append(m)
     structure_cert = DegenerationCertificate(tuple(maps), d=d * n, e=e * n)
-    ok_h, d_h, e_h = verify_degeneration(source, target, structure_cert)
-    if not ok_h:
-        raise CertificateError("edgewise structure degeneration failed to verify")
-    cert = interpolate(source, target, structure_cert)
-    return cert
+    return _interpolate(source, target, structure_cert, d * n, e * n)
 
 
 def omega_bound(alpha, beta):

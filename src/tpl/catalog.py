@@ -47,6 +47,11 @@ def term_tensor(dims, term):
     """Simple tensor from one decomposition term (one vector per factor)."""
     if len(term) != len(dims):
         raise CatalogError(f"term has {len(term)} factors for order {len(dims)}")
+    for j, vec in enumerate(term):
+        if len(vec) != dims[j]:
+            raise CatalogError(
+                f"term factor {j} has length {len(vec)}, dimension is {dims[j]}"
+            )
     entries = {}
 
     def rec(j, idx, val):
@@ -55,12 +60,7 @@ def term_tensor(dims, term):
                 prev = entries.get(idx)
                 entries[idx] = val if prev is None else prev + val
             return
-        vec = term[j]
-        if len(vec) != dims[j]:
-            raise CatalogError(
-                f"term factor {j} has length {len(vec)}, dimension is {dims[j]}"
-            )
-        for i, c in enumerate(vec):
+        for i, c in enumerate(term[j]):
             if c:
                 rec(j + 1, idx + (i,), val * c)
 

@@ -124,6 +124,14 @@ def _parse_theta(text, order):
         raise CliError(f"bad theta {text!r}: {exc}", USAGE_ERROR) from exc
 
 
+def _flatten_left(t, text):
+    """Flattening of t along the 0-based positions listed in ``--left``."""
+    try:
+        return flatten(t, {int(x) for x in text.split(",")})
+    except ValueError as exc:
+        raise CliError(f"bad --left {text!r}: {exc}", USAGE_ERROR) from exc
+
+
 def _catalog(args):
     if getattr(args, "catalog", None):
         return Catalog(args.catalog)
@@ -159,10 +167,13 @@ def cmd_classify(args):
 
 def cmd_op(args):
     name = args.operation
-    if name == "direct-sum":
-        result = direct_sum(_read_tensor(args.src), _read_tensor(args.dst))
-    elif name == "kron":
-        result = kron(_read_tensor(args.src), _read_tensor(args.dst))
+    if name in ("direct-sum", "kron"):
+        combine = direct_sum if name == "direct-sum" else kron
+        src, dst = _read_tensor(args.src), _read_tensor(args.dst)
+        try:
+            result = combine(src, dst)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
     elif name == "tensor-product":
         spec = _parse_grouping(args.group) if args.group else None
         result = tensor_product(_read_tensor(args.src), _read_tensor(args.dst), spec)
@@ -170,14 +181,14 @@ def cmd_op(args):
         result = group(_read_tensor(args.tensor), _parse_grouping(args.group))
     elif name == "flatten":
         t = _read_tensor(args.tensor)
-        left = {int(x) for x in args.left.split(",")}
-        m = flatten(t, left)
+        if args.left is None:
+            raise CliError("op flatten needs --left", USAGE_ERROR)
+        m = _flatten_left(t, args.left)
         _write_output(jsonio.dumps_pretty(jsonio.matrix_to_json(m)), args.out)
         return 0
     elif name == "rank":
         t = _read_tensor(args.tensor)
-        left = {int(x) for x in args.left.split(",")} if args.left else {0}
-        value = rank(flatten(t, left), tol=args.tol)
+        value = rank(_flatten_left(t, args.left or "0"), tol=args.tol)
         _write_output(jsonio.dumps_compact({"rank": value}), args.out)
         return 0
     elif name == "equal-pad":
@@ -245,7 +256,10 @@ def cmd_obstruct(args):
         report["det222"] = None
     if t.order == 3:
         p = args.p if args.p is not None else 1
-        spec = KoszulSpec(t.dims[2], p)
+        try:
+            spec = KoszulSpec(t.dims[2], p)
+        except ValueError as exc:
+            raise CliError(f"bad Koszul parameter --p: {exc}", USAGE_ERROR) from exc
         num = rank(koszul_flatten(t, spec))
         ratio = flattening_ratio(t, spec, trials=args.trials, seed=args.seed)
         report["koszul"] = {"p": p, "rank": num, "ratio": f"{ratio.numerator}/{ratio.denominator}"}

@@ -32,6 +32,10 @@ from .tensor import GroupingSpec, Tensor, tensor_product
 FAMILIES = ("Disjoint", "Strassen", "Triangular", "Kagome", "Fan")
 
 
+class StructureTooLarge(ValueError):
+    """Desk-scale guard: the requested finite structure will not fit."""
+
+
 class Hypergraph:
     """Vertex count plus ordered list of ordered hyperedges."""
 
@@ -288,11 +292,12 @@ def build_structure(h, assignment, max_entries=None):
     """Structure tensor of order |V|: edge tensors merged vertex by vertex.
 
     Vertices touched by no edge get dimension 1. ``max_entries`` optionally
-    guards against combinatorial blowup of the sparse product.
+    guards against combinatorial blowup of the sparse product by raising
+    StructureTooLarge.
     """
     tensors = resolve_assignment(h, assignment)
     if max_entries is not None and structure_entry_bound(h, assignment) > max_entries:
-        raise ValueError("structure tensor exceeds the entry guard")
+        raise StructureTooLarge("structure tensor exceeds the entry guard")
     slots = h.vertex_slots()
     dims = tuple(
         math.prod(tensors[e].dims[pos] for pos, e in vs) for vs in slots

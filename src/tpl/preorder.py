@@ -138,11 +138,23 @@ def interpolate(t, target, degcert):
     Evaluation points are 1, 2, ..., e+1. The factor-j map is the horizontal
     block row [m_j(1) | ... | m_j(e+1)]; the factor-1 blocks are pre-scaled
     by the interpolation weights that extract the eps^d coefficient. The
-    output is verified exactly before being returned.
+    degeneration is verified once, here, and its measured degrees (d, e)
+    drive the interpolation; the output restriction is verified exactly
+    before being returned.
     """
     ok, d, e = verify_degeneration(t, target, degcert)
     if not ok:
         raise CertificateError("degeneration certificate does not verify; refusing to interpolate")
+    return _interpolate(t, target, degcert, d, e)
+
+
+def _interpolate(t, target, degcert, d, e):
+    """Interpolation step of :func:`interpolate` with the degrees (d, e) given.
+
+    The degeneration itself is not expanded again. Wrong degrees cannot
+    produce a bad certificate: the result is verified exactly and a
+    mismatch raises CertificateError.
+    """
     points = [Fraction(i + 1) for i in range(e + 1)]
     # Weights w_i with sum_i w_i * x_i^(d+m) = [m == 0] for m = 0..e.
     vand = [[QC(p ** (d + m)) for p in points] for m in range(e + 1)]
@@ -302,7 +314,6 @@ def heuristic_restriction_search(t, target, iterations=200, tol=1e-12, restarts=
     """
     if t.order != target.order:
         raise ValueError("order mismatch in restriction search")
-    k = t.order
     t_np = t.to_numpy()
     target_np = target.to_numpy()
     rng = np.random.default_rng(seed)
@@ -322,27 +333,25 @@ def heuristic_restriction_search(t, target, iterations=200, tol=1e-12, restarts=
             best = [m.copy() for m in maps]
         if best_res <= tol:
             break
-    cert_maps = []
-    for m in best:
-        entries = {
-            (i, j): complex(m[i, j])
-            for i in range(m.shape[0])
-            for j in range(m.shape[1])
-            if m[i, j] != 0
-        }
-        cert_maps.append(Matrix(m.shape[0], m.shape[1], entries, FLOAT))
-    return tuple(cert_maps), float(best_res)
+    return tuple(_np_to_float_matrix(m) for m in best), float(best_res)
+
+
+def _apply_maps_np(t_np, maps, skip=None):
+    """Float image of t_np under the factor maps, leaving factor ``skip`` alone."""
+    image = t_np
+    for ax, m in enumerate(maps):
+        if ax == skip:
+            continue
+        image = np.tensordot(m, image, axes=(1, ax))
+        image = np.moveaxis(image, 0, ax)
+    return image
 
 
 def _als_run(t_np, target_np, maps, iterations, tol):
     k = t_np.ndim
     for _ in range(iterations):
         for j in range(k):
-            image = t_np
-            for ax, m in enumerate(maps):
-                if ax != j:
-                    image = np.tensordot(m, image, axes=(1, ax))
-                    image = np.moveaxis(image, 0, ax)
+            image = _apply_maps_np(t_np, maps, skip=j)
             a = np.moveaxis(image, j, 0).reshape(t_np.shape[j], -1)
             b = np.moveaxis(target_np, j, 0).reshape(target_np.shape[j], -1)
             sol, *_ = np.linalg.lstsq(a.T, b.T, rcond=None)
@@ -354,11 +363,7 @@ def _als_run(t_np, target_np, maps, iterations, tol):
 
 
 def _residual(t_np, target_np, maps):
-    image = t_np
-    for ax, m in enumerate(maps):
-        image = np.tensordot(m, image, axes=(1, ax))
-        image = np.moveaxis(image, 0, ax)
-    return float(np.linalg.norm(image - target_np) ** 2)
+    return float(np.linalg.norm(_apply_maps_np(t_np, maps) - target_np) ** 2)
 
 
 def rationalize_maps(float_maps, max_denominator=64):
@@ -378,16 +383,6 @@ def rationalize_maps(float_maps, max_denominator=64):
                 entries[(i, j)] = q
         out.append(Matrix(m.rows, m.cols, entries, RATIONAL))
     return RestrictionCertificate(tuple(out))
-
-
-def _apply_maps_np(t_np, maps, skip=None):
-    image = t_np
-    for ax, m in enumerate(maps):
-        if ax == skip:
-            continue
-        image = np.tensordot(m, image, axes=(1, ax))
-        image = np.moveaxis(image, 0, ax)
-    return image
 
 
 def _masked_als(t_np, target_np, maps, frozen, max_iters, tol, check_every=10):
@@ -544,12 +539,3 @@ def polish_rational_certificate(
     if all(np.all(f) for f in frozen) and verify_restriction(t, target, cert):
         return cert
     return None
-
-
-def random_invertible_2x2(rng, span=3):
-    """Random invertible rational 2x2 matrix with small integer entries."""
-    while True:
-        vals = [Fraction(rng.randint(-span, span)) for _ in range(4)]
-        det = vals[0] * vals[3] - vals[1] * vals[2]
-        if det:
-            return Matrix.from_rows([[vals[0], vals[1]], [vals[2], vals[3]]])

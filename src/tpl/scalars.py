@@ -106,9 +106,6 @@ class QC:
             (self.im * other.re - self.re * other.im) / n,
         )
 
-    def conjugate(self):
-        return QC(self.re, -self.im)
-
     def to_complex(self):
         return complex(self.re, self.im)
 

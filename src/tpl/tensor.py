@@ -89,15 +89,6 @@ class Tensor:
                     cleaned[idx] = v
         self.entries = cleaned
 
-    @classmethod
-    def from_raw(cls, dims, raw_entries, domain=RATIONAL):
-        """Build coercing raw values (ints, Fractions, pairs) into the domain."""
-        return cls(
-            dims,
-            {tuple(idx): scalars.coerce(domain, v) for idx, v in raw_entries.items()},
-            domain,
-        )
-
     def nnz(self):
         return len(self.entries)
 

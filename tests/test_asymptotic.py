@@ -21,9 +21,14 @@ from tpl.hypergraph import build_structure, make_family
 from tpl.matrix import Matrix
 from tpl.named import ghz, mamu, simple, w_state
 from tpl.obstructions import KoszulSpec
-from tpl.preorder import DegenerationCertificate, verify_restriction
+from tpl.preorder import (
+    DegenerationCertificate,
+    interpolate,
+    verify_degeneration,
+    verify_restriction,
+)
 from tpl.scalars import EPS, EpsPoly, QC
-from tpl.tensor import Tensor, direct_sum_many
+from tpl.tensor import Tensor, apply_product_map, direct_sum_many
 
 
 def w_border_cert():
@@ -189,6 +194,77 @@ def test_lattice_construction_small_random_property():
             direct_sum_many([src_structure] * reps), dst_structure, out
         )
         rounds += 1
+
+
+def random_edge_degenerations(rng, count):
+    """The random edge certificates of the property test above: (t, target, cert, d, e)."""
+    out = []
+    while len(out) < count:
+        t = util.random_rational_tensor(rng, (2, 2, 2), density=0.6, den=2)
+        if t.is_zero():
+            continue
+        maps = []
+        for _ in range(3):
+            entries = {}
+            for i in range(2):
+                for j in range(2):
+                    coeffs = {}
+                    for deg in (0, 1):
+                        if rng.random() < 0.6:
+                            v = QC(Fraction(rng.randint(-1, 1)))
+                            if v:
+                                coeffs[deg] = v
+                    if coeffs:
+                        entries[(i, j)] = EpsPoly(coeffs)
+            maps.append(Matrix(2, 2, entries, EPS))
+        image = apply_product_map(maps, t.to_eps(), domain=EPS)
+        if image.is_zero():
+            continue
+        degrees = set()
+        for p in image.entries.values():
+            degrees.update(p.coeffs)
+        d, e = min(degrees), max(degrees) - min(degrees)
+        if e > 2:
+            continue
+        target = Tensor(
+            image.dims,
+            {i: p.coefficient(d) for i, p in image.entries.items() if p.coefficient(d)},
+        )
+        out.append((t, target, DegenerationCertificate(tuple(maps)), d, e))
+    return out
+
+
+def structure_degeneration(h, cert):
+    """Per-vertex Kronecker products of the edge maps, in slot order."""
+    maps = []
+    for slots in h.vertex_slots():
+        m = None
+        for pos, _edge in slots:
+            m = cert.maps[pos] if m is None else m.kron(cert.maps[pos])
+        maps.append(m)
+    return DegenerationCertificate(tuple(maps))
+
+
+def assert_matches_reference(t, other, cert, d, e, family, n):
+    """lattice_construction equals interpolating the fully verified structure degeneration."""
+    h = make_family(family, n)
+    source = build_structure(h, t)
+    target = build_structure(h, other)
+    structure_cert = structure_degeneration(h, cert)
+    assert verify_degeneration(source, target, structure_cert) == (True, n * d, n * e)
+    expected = interpolate(source, target, structure_cert)
+    assert lattice_construction(t, other, cert, family, n) == expected
+
+
+@pytest.mark.parametrize("family", ["Triangular", "Kagome"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lattice_construction_matches_reference_w_border(family, n):
+    assert_matches_reference(ghz(2), w_state(), w_border_cert(), 1, 2, family, n)
+
+
+def test_lattice_construction_matches_reference_random_edges():
+    for t, target, cert, d, e in random_edge_degenerations(random.Random(8), 3):
+        assert_matches_reference(t, target, cert, d, e, "Triangular", 2)
 
 
 def test_lattice_construction_guards_and_errors():

@@ -156,3 +156,14 @@ def test_default_catalog_env_override(tmp_path, monkeypatch):
     assert cat.path == tmp_path
     monkeypatch.delenv("TPL_CATALOG")
     assert Catalog.default().path.name == "catalog"
+
+
+def test_catalog_put_rejects_malformed_term(tmp_path):
+    # The zero first factor used to hide the wrong lengths of the others.
+    one, zero = QC(1), QC(0)
+    malformed = [[zero, zero], [one], [one, zero, one, one]]
+    terms = w_rank3_terms() + [malformed]
+    cat = Catalog(tmp_path)
+    with pytest.raises(CatalogError):
+        cat.put(CatalogEntry(id="w-malformed", tensor=w_state(), decomposition=terms))
+    assert list(tmp_path.iterdir()) == []

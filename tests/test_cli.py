@@ -263,3 +263,47 @@ def test_render_report_omega_rows(capsys, tmp_path):
     assert code == 0
     assert "exponent" in out
     assert "2.807" in out
+
+
+@pytest.fixture()
+def mamu2_path(tmp_path):
+    path = tmp_path / "mamu2.json"
+    path.write_text(jsonio.dumps_pretty(jsonio.tensor_to_json(mamu(2))))
+    return str(path)
+
+
+def test_hypergraph_structure_guard_exits_one(capsys, mamu2_path):
+    code, out, err = run(
+        capsys, ["hypergraph", "--family", "Triangular", "--n", "7", "--tensor", mamu2_path]
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("tpl: ") and "guard" in err
+
+
+def test_obstruct_bad_p_usage_error(capsys, w_path):
+    code, out, err = run(capsys, ["obstruct", "--tensor", w_path, "--p", "5"])
+    assert (code, out) == (2, "")
+    assert err.startswith("tpl: ")
+
+
+@pytest.mark.parametrize("operation", ["flatten", "rank"])
+@pytest.mark.parametrize("left", ["x", "7", "0,1,2"])
+def test_op_bad_left_usage_error(capsys, w_path, operation, left):
+    code, out, err = run(capsys, ["op", operation, "--tensor", w_path, "--left", left])
+    assert (code, out) == (2, "")
+    assert err.startswith("tpl: bad --left")
+
+
+def test_op_flatten_needs_left(capsys, w_path):
+    code, out, err = run(capsys, ["op", "flatten", "--tensor", w_path])
+    assert (code, out) == (2, "")
+    assert err.startswith("tpl: ")
+
+
+@pytest.mark.parametrize("operation", ["kron", "direct-sum"])
+def test_op_order_mismatch_exits_one(capsys, w_path, tmp_path, operation):
+    epr_path = tmp_path / "epr.json"
+    epr_path.write_text(jsonio.dumps_pretty(jsonio.tensor_to_json(ghz(2, 2))))
+    code, out, err = run(capsys, ["op", operation, "--src", w_path, "--dst", str(epr_path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("tpl: ") and "order mismatch" in err
