@@ -187,6 +187,8 @@ class Catalog:
     def put(self, entry):
         verify_entry(entry)
         self.path.mkdir(parents=True, exist_ok=True)
+        # Entry first, then manifest: a crash in between leaves at most an
+        # unlisted entry, never a listed id whose file is missing.
         jsonio.dump_path(self.path / f"{entry.id}.json", entry_to_json(entry))
         ids = self.ids()
         if entry.id not in ids:

@@ -1,4 +1,4 @@
-"""Command-line front end: JSON in, JSON out, deterministic under --seed.
+"""Command-line front end: JSON in, JSON out, deterministic.
 
 Exit codes: 0 on success (a verified "false" answer is still success and is
 printed as JSON), 1 on verification or data integrity failure (corrupted
@@ -57,6 +57,9 @@ from .tensor import (
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
+# --trials and --seed stay accepted so that existing command lines still parse.
+NO_EFFECT = "accepted and ignored: nothing is sampled"
+
 
 class CliError(Exception):
     def __init__(self, message, code=VERIFY_ERROR):
@@ -103,15 +106,13 @@ def _write_output(text, out_path):
             fh.write(text)
 
 
-def _parse_grouping(spec_text):
+def _group(t, text):
+    """t regrouped by ``--group`` blocks like '0,3|1,4|2,5'; a misfit is a usage error."""
     try:
-        blocks = [
-            tuple(int(x) for x in blk.split(",") if x != "")
-            for blk in spec_text.split("|")
-        ]
-        return GroupingSpec(blocks)
+        blocks = [tuple(int(x) for x in blk.split(",") if x != "") for blk in text.split("|")]
+        return group(t, GroupingSpec(blocks))
     except ValueError as exc:
-        raise CliError(f"bad grouping spec {spec_text!r}: {exc}", USAGE_ERROR) from exc
+        raise CliError(f"bad grouping spec {text!r}: {exc}", USAGE_ERROR) from exc
 
 
 def _parse_theta(text, order):
@@ -167,18 +168,19 @@ def cmd_classify(args):
 
 def cmd_op(args):
     name = args.operation
-    if name in ("direct-sum", "kron"):
-        combine = direct_sum if name == "direct-sum" else kron
+    combiners = {"direct-sum": direct_sum, "kron": kron, "tensor-product": tensor_product}
+    if name in combiners:
         src, dst = _read_tensor(args.src), _read_tensor(args.dst)
         try:
-            result = combine(src, dst)
+            result = combiners[name](src, dst)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
-    elif name == "tensor-product":
-        spec = _parse_grouping(args.group) if args.group else None
-        result = tensor_product(_read_tensor(args.src), _read_tensor(args.dst), spec)
+        if name == "tensor-product" and args.group:
+            result = _group(result, args.group)
     elif name == "group":
-        result = group(_read_tensor(args.tensor), _parse_grouping(args.group))
+        if args.group is None:
+            raise CliError("op group needs --group", USAGE_ERROR)
+        result = _group(_read_tensor(args.tensor), args.group)
     elif name == "flatten":
         t = _read_tensor(args.tensor)
         if args.left is None:
@@ -255,7 +257,7 @@ def cmd_obstruct(args):
     else:
         report["det222"] = None
     if t.order == 3:
-        p = args.p if args.p is not None else 1
+        p = args.p if args.p is not None else min(1, t.dims[2] - 1)
         try:
             spec = KoszulSpec(t.dims[2], p)
         except ValueError as exc:
@@ -431,10 +433,10 @@ def build_parser():
 
     p = sub.add_parser("obstruct", help="obstruction functional report")
     p.add_argument("--tensor", default=None)
-    p.add_argument("--p", type=int, default=None, help="Koszul wedge parameter")
+    p.add_argument("--p", type=int, default=None, help="Koszul wedge parameter (default 1, or 0 when d3 = 1)")
     p.add_argument("--theta", default=None, help="weights like '1/3,1/3,1/3'")
-    p.add_argument("--trials", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=16, help=NO_EFFECT)
+    p.add_argument("--seed", type=int, default=0, help=NO_EFFECT)
     common_io(p)
     p.set_defaults(handler=cmd_obstruct)
 
@@ -443,8 +445,8 @@ def build_parser():
     p.add_argument("--tensor", default=None)
     p.add_argument("--catalog", default=None)
     p.add_argument("--n", type=int, default=None, help="max Kronecker power")
-    p.add_argument("--trials", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=16, help=NO_EFFECT)
+    p.add_argument("--seed", type=int, default=0, help=NO_EFFECT)
     p.add_argument("--format", choices=["json", "table"], default="json")
     common_io(p)
     p.set_defaults(handler=cmd_bounds)

@@ -9,6 +9,9 @@ deterministic byte for byte.
 from __future__ import annotations
 
 import json
+import os
+import uuid
+from pathlib import Path
 
 from . import scalars
 from .matrix import Matrix
@@ -217,5 +220,15 @@ def load_path(path):
 
 
 def dump_path(path, obj):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_pretty(obj))
+    """Write obj as pretty JSON via a synced temp file that replaces ``path`` atomically."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(dumps_pretty(obj))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -8,7 +8,6 @@ point evaluation of the entropy-weighted spectral functional.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -18,7 +17,7 @@ import numpy as np
 from . import scalars
 from .matrix import Matrix, rank
 from .scalars import EPS, RATIONAL, QC
-from .tensor import Tensor, flatten
+from .tensor import flatten
 
 
 def gauge_points(t):
@@ -161,53 +160,28 @@ def _minor_det(g, rows, cols):
     return acc
 
 
-# Simple-tensor rank of the Koszul flattening, when a closed value is known.
-KNOWN_SIMPLE_KOSZUL_RANK = {(3, 1): 2}
-
-
 def max_simple_koszul_rank(spec, trials=64, seed=0):
     """Denominator of the ratio bound: max flattening rank of simple tensors.
 
-    Samples ``trials`` random dense simple tensors with rational entries in
-    [-1, 1] and takes the max together with the known closed value when one
-    is available. A larger denominator only weakens the resulting lower
-    bound, so maximizing is the safe direction.
+    Every nonzero simple tensor a (x) b (x) c has the same rank,
+    rank F(s) = rank(v -> c ^ v on the p-th wedge power) = C(d3-1, p), by
+    exactness of the Koszul complex. ``trials`` and ``seed`` are accepted
+    and have no effect.
     """
-    rng = random.Random(seed)
-    best = KNOWN_SIMPLE_KOSZUL_RANK.get((spec.d3, spec.p), 0)
-    for _ in range(trials):
-        vecs = [_random_vector(rng, spec.d3) for _ in range(3)]
-        entries = {}
-        for a, va in enumerate(vecs[0]):
-            for b, vb in enumerate(vecs[1]):
-                for c, vc in enumerate(vecs[2]):
-                    v = va * vb * vc
-                    if v:
-                        entries[(a, b, c)] = v
-        s = Tensor((spec.d3,) * 3, entries, RATIONAL)
-        if s.is_zero():
-            continue
-        best = max(best, rank(koszul_flatten(s, spec)))
-    return best
-
-
-def _random_vector(rng, n, den=16):
-    return [QC(Fraction(rng.randint(-den, den), den)) for _ in range(n)]
+    return math.comb(spec.d3 - 1, spec.p)
 
 
 def flattening_ratio(t, spec, trials=64, seed=0):
     """Ratio lower bound: rank F(t) / max over simple tensors of rank F(s).
 
-    The numerator is exact; the denominator combines sampling with the known
-    closed value when available. Returned as an exact Fraction.
+    The numerator is the exact rank of the Koszul flattening of t; the
+    denominator is the closed value C(d3-1, p) of
+    :func:`max_simple_koszul_rank`, which is at least 1. Returned as an exact
+    Fraction. ``trials`` and ``seed`` are accepted and have no effect.
     """
     if t.order != 3:
         raise ValueError("flattening_ratio needs an order-3 tensor")
-    num = rank(koszul_flatten(t, spec))
-    den = max_simple_koszul_rank(spec, trials=trials, seed=seed)
-    if den == 0:
-        raise ArithmeticError("no nonzero simple sample; cannot normalize")
-    return Fraction(num, den)
+    return Fraction(rank(koszul_flatten(t, spec)), max_simple_koszul_rank(spec))
 
 
 @dataclass(frozen=True)

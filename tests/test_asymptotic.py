@@ -18,9 +18,9 @@ from tpl.asymptotic import (
 )
 from tpl.catalog import Catalog
 from tpl.hypergraph import build_structure, make_family
-from tpl.matrix import Matrix
+from tpl.matrix import Matrix, rank
 from tpl.named import ghz, mamu, simple, w_state
-from tpl.obstructions import KoszulSpec
+from tpl.obstructions import KoszulSpec, koszul_flatten
 from tpl.preorder import (
     DegenerationCertificate,
     interpolate,
@@ -119,10 +119,31 @@ def test_lattice_obstruction_covering_power():
     assert lattice_obstruction(ghz(3), dense, 2, spec) is True
 
 
-def test_lattice_obstruction_guard():
+def test_lattice_obstruction_matches_explicit_kron_at_c2():
+    rng = random.Random(4)
+    dense = util.random_rational_tensor(rng, (3, 3, 3), density=1.0, den=16)
+    g = [util.random_invertible(rng, 3) for _ in range(3)]
+    moved_ghz = apply_product_map(g, ghz(3))
     spec = KoszulSpec(3, 1)
+    for t, other, expected in ((moved_ghz, ghz(3), False), (ghz(3), dense, True)):
+        ft, fo = koszul_flatten(t, spec), koszul_flatten(other, spec)
+        explicit = rank(ft.kron(ft)) < rank(fo.kron(fo))
+        assert explicit is expected
+        assert lattice_obstruction(t, other, 2, spec) is explicit
+
+
+def test_lattice_obstruction_guard():
+    rng = random.Random(4)
+    dense = util.random_rational_tensor(rng, (3, 3, 3), density=1.0, den=16)
+    spec = KoszulSpec(3, 1)
+    for t, other in ((ghz(3), dense), (dense, ghz(3)), (ghz(3), ghz(3))):
+        single = lattice_obstruction(t, other, 1, spec)
+        for covering in (3, 8):
+            assert lattice_obstruction(t, other, covering, spec) is single
+    # One copy of the flattening has side max(C(20, 10), C(20, 9)) = 184756.
+    big = Tensor((1, 1, 20), {(0, 0, 0): QC(1)})
     with pytest.raises(StructureTooLarge):
-        lattice_obstruction(ghz(3), ghz(3), 8, spec)
+        lattice_obstruction(big, big, 1, KoszulSpec(20, 9))
 
 
 def test_lattice_construction_single_triangle():

@@ -1,4 +1,5 @@
 import copy
+import os
 
 import pytest
 
@@ -167,3 +168,28 @@ def test_catalog_put_rejects_malformed_term(tmp_path):
     with pytest.raises(CatalogError):
         cat.put(CatalogEntry(id="w-malformed", tensor=w_state(), decomposition=terms))
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fail_on", ["manifest.json", "w-copy.json"])
+def test_catalog_put_crash_keeps_old_files(tmp_path, monkeypatch, fail_on):
+    cat = Catalog(tmp_path)
+    cat.put(CatalogEntry(id="w-rank3", tensor=w_state(), decomposition=w_rank3_terms()))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if os.path.basename(dst) == fail_on:
+            raise OSError("simulated crash")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="simulated crash"):
+        cat.put(CatalogEntry(id="w-copy", tensor=w_state(), decomposition=w_rank3_terms()))
+    monkeypatch.undo()
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert {name: after[name] for name in before} == before
+    # The entry is written before the manifest: no temp file is left, and at
+    # most an unlisted entry is new.
+    assert set(after) - set(before) == {"w-copy.json"} - {fail_on}
+    assert cat.ids() == ["w-rank3"]
+    assert cat.get("w-rank3").tensor == w_state()

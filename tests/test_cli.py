@@ -9,7 +9,8 @@ from tpl.cli import main, render_report
 from tpl.matrix import Matrix
 from tpl.named import ghz, mamu, w_state
 from tpl.preorder import DegenerationCertificate, RestrictionCertificate
-from tpl.scalars import EPS, EpsPoly
+from tpl.scalars import EPS, EpsPoly, QC
+from tpl.tensor import Tensor, kron
 
 
 @pytest.fixture()
@@ -307,3 +308,35 @@ def test_op_order_mismatch_exits_one(capsys, w_path, tmp_path, operation):
     code, out, err = run(capsys, ["op", operation, "--src", w_path, "--dst", str(epr_path)])
     assert (code, out) == (1, "")
     assert err.startswith("tpl: ") and "order mismatch" in err
+
+
+def test_obstruct_default_p_follows_d3(capsys, tmp_path):
+    path = tmp_path / "t221.json"
+    t221 = Tensor((2, 2, 1), {(0, 0, 0): QC(1), (1, 1, 0): QC(1)})
+    path.write_text(jsonio.dumps_pretty(jsonio.tensor_to_json(t221)))
+    code, out, _ = run(capsys, ["obstruct", "--tensor", str(path)])
+    assert code == 0
+    assert json.loads(out)["koszul"] == {"p": 0, "rank": 2, "ratio": "2/1"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["op", "group", "--group", "0,1"],
+        ["op", "group"],
+        ["op", "tensor-product", "--group", "0|1"],
+    ],
+)
+def test_op_bad_group_usage_error(capsys, w_path, argv):
+    files = ["--tensor", w_path] if argv[1] == "group" else ["--src", w_path, "--dst", w_path]
+    code, out, err = run(capsys, argv + files)
+    assert (code, out) == (2, "")
+    assert err.startswith("tpl: ")
+
+
+def test_op_tensor_product_grouped_is_kron(capsys, w_path, tmp_path):
+    out = tmp_path / "ww.json"
+    argv = ["op", "tensor-product", "--src", w_path, "--dst", w_path, "--group", "0,3|1,4|2,5"]
+    code, _, _ = run(capsys, argv + ["--out", str(out)])
+    assert code == 0
+    assert jsonio.tensor_from_json(json.loads(out.read_text())) == kron(w_state(), w_state())

@@ -171,6 +171,31 @@ def test_max_simple_rank_uses_closed_value():
     assert max_simple_koszul_rank(KoszulSpec(3, 1), trials=0) == 2
 
 
+def _random_nonzero_vector(rng, n):
+    while True:
+        vec = [QC(Fraction(rng.randint(-2, 2), rng.randint(1, 3))) for _ in range(n)]
+        if any(vec):
+            return vec
+
+
+def test_max_simple_rank_matches_simple_tensor_flattenings():
+    rng = random.Random(23)
+    for d3 in range(1, 6):
+        for p in range(d3):
+            spec = KoszulSpec(d3, p)
+            for _ in range(3):
+                dims = (rng.randint(1, 3), rng.randint(1, 3), d3)
+                va, vb, vc = (_random_nonzero_vector(rng, n) for n in dims)
+                entries = {}
+                for a, x in enumerate(va):
+                    for b, y in enumerate(vb):
+                        for c, z in enumerate(vc):
+                            if x * y * z:
+                                entries[(a, b, c)] = x * y * z
+                s = Tensor(dims, entries)
+                assert rank(koszul_flatten(s, spec)) == max_simple_koszul_rank(spec)
+
+
 def test_theta_weights_validation():
     ThetaWeights((Fraction(1, 2), Fraction(1, 2)))
     ThetaWeights((0.25, 0.75))
