@@ -57,7 +57,12 @@ class BoundReport:
 
     def __post_init__(self):
         if self.lower and self.upper:
-            if self.lower.as_float() > self.upper.as_float() + 1e-12:
+            lo, hi = self.lower.value, self.upper.value
+            if isinstance(lo, Fraction) and isinstance(hi, Fraction):
+                exceeds = lo > hi
+            else:
+                exceeds = self.lower.as_float() > self.upper.as_float() + 1e-12
+            if exceeds:
                 raise ValueError(
                     f"{self.quantity}: lower bound {self.lower.value} exceeds "
                     f"upper bound {self.upper.value}"

@@ -27,10 +27,10 @@ from .named import NamedTensorSpec, make_named
 from .obstructions import (
     KoszulSpec,
     ThetaWeights,
-    flattening_ratio,
     gauge_points,
     hyperdeterminant_222,
     koszul_flatten,
+    max_simple_koszul_rank,
     quantum_functional_point,
 )
 from .preorder import (
@@ -263,7 +263,7 @@ def cmd_obstruct(args):
         except ValueError as exc:
             raise CliError(f"bad Koszul parameter --p: {exc}", USAGE_ERROR) from exc
         num = rank(koszul_flatten(t, spec))
-        ratio = flattening_ratio(t, spec, trials=args.trials, seed=args.seed)
+        ratio = Fraction(num, max_simple_koszul_rank(spec))
         report["koszul"] = {"p": p, "rank": num, "ratio": f"{ratio.numerator}/{ratio.denominator}"}
     else:
         report["koszul"] = None

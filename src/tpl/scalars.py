@@ -15,6 +15,7 @@ values of that domain.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 RATIONAL = "rational"
@@ -41,15 +42,34 @@ def format_fraction(f):
 class QC:
     """Complex scalar with exact rational real and imaginary parts.
 
-    Fractions are kept in lowest terms with positive denominator (the
-    ``fractions`` module guarantees this).
+    The value (a + b*i)/n is stored as three integers ``(a, b, n)`` with
+    n > 0 and gcd(a, b, n) == 1, so equal values have equal fields and
+    arithmetic is plain integer arithmetic followed by one gcd reduction.
+    ``re`` and ``im`` read the parts back as Fractions in lowest terms.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_n")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._n = re, im, 1
+            return
+        re = re if isinstance(re, Fraction) else Fraction(re)
+        im = im if isinstance(im, Fraction) else Fraction(im)
+        # Lowest-terms parts over the lcm of their denominators already have
+        # gcd(a, b, n) == 1: no prime divides n without missing a or b.
+        p, q = re.numerator, re.denominator
+        r, s = im.numerator, im.denominator
+        n = q * s // math.gcd(q, s)
+        self._a, self._b, self._n = p * (n // q), r * (n // s), n
+
+    @property
+    def re(self):
+        return Fraction(self._a, self._n)
+
+    @property
+    def im(self):
+        return Fraction(self._b, self._n)
 
     @classmethod
     def coerce(cls, v):
@@ -60,26 +80,44 @@ class QC:
         raise TypeError(f"cannot coerce {type(v).__name__} to QC")
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QC(other)
-        if not isinstance(other, QC):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, QC):
+            return self._a == other._a and self._b == other._b and self._n == other._n
+        if isinstance(other, int):
+            return self._b == 0 and self._n == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return self._b == 0 and self._a == other.numerator and self._n == other.denominator
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # Real values hash like the equal int or Fraction.
+        if self._b == 0:
+            return hash(self._a) if self._n == 1 else hash(Fraction(self._a, self._n))
+        return hash((self._a, self._b, self._n))
 
     def __add__(self, other):
-        other = QC.coerce(other)
-        return QC(self.re + other.re, self.im + other.im)
+        if type(other) is not QC:
+            other = QC.coerce(other)
+        n = self._n
+        n2 = other._n
+        if n == n2:
+            a = self._a + other._a
+            b = self._b + other._b
+            if n == 1:
+                return _qc(a, b, 1)
+        else:
+            a = self._a * n2 + other._a * n
+            b = self._b * n2 + other._b * n
+            n *= n2
+        g = math.gcd(a, b, n)
+        return _qc(a // g, b // g, n // g)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QC(-self.re, -self.im)
+        return _qc(-self._a, -self._b, self._n)
 
     def __sub__(self, other):
         return self + (-QC.coerce(other))
@@ -88,31 +126,49 @@ class QC:
         return QC.coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = QC.coerce(other)
-        return QC(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not QC:
+            other = QC.coerce(other)
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        n = self._n * other._n
+        if b1 == 0 and b2 == 0:
+            a = a1 * a2
+            if n == 1:
+                return _qc(a, 0, 1)
+            g = math.gcd(a, n)
+            return _qc(a // g, 0, n // g)
+        a = a1 * a2 - b1 * b2
+        b = a1 * b2 + b1 * a2
+        g = math.gcd(a, b, n)
+        return _qc(a // g, b // g, n // g)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = QC.coerce(other)
-        n = other.re * other.re + other.im * other.im
-        if not n:
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        norm = a2 * a2 + b2 * b2
+        if not norm:
             raise ZeroDivisionError("division by zero QC")
-        return QC(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        a = (a1 * a2 + b1 * b2) * other._n
+        b = (b1 * a2 - a1 * b2) * other._n
+        n = self._n * norm
+        g = math.gcd(a, b, n)
+        return _qc(a // g, b // g, n // g)
 
     def to_complex(self):
-        return complex(self.re, self.im)
+        return complex(self._a / self._n, self._b / self._n)
 
     def __repr__(self):
-        if not self.im:
+        if not self._b:
             return f"QC({self.re})"
         return f"QC({self.re}, {self.im})"
+
+
+def _qc(a, b, n):
+    """QC from canonical fields (n > 0, gcd(a, b, n) == 1), unchecked."""
+    v = object.__new__(QC)
+    v._a, v._b, v._n = a, b, n
+    return v
 
 
 QC_ZERO = QC(0)
@@ -212,11 +268,24 @@ class EpsPoly:
         return self.coeffs.get(degree, QC_ZERO)
 
     def eval(self, point):
-        """Evaluate at an exact point (Fraction or QC)."""
+        """Evaluate at an exact point (Fraction or QC).
+
+        Horner's rule down to the lowest degree m, or to 0 when m > 0, so
+        the value is point^m * sum_k c_k point^(k-m). A negative m (a Laurent
+        term) divides by the point -m times, so the point must be nonzero.
+        """
         point = QC.coerce(point)
-        acc = QC_ZERO
-        for d, c in self.coeffs.items():
-            acc = acc + c * _qc_pow(point, d)
+        if not self.coeffs:
+            return QC_ZERO
+        low, high = min(self.coeffs), max(self.coeffs)
+        acc = self.coeffs[high]
+        for d in range(high - 1, min(low, 0) - 1, -1):
+            acc = acc * point
+            c = self.coeffs.get(d)
+            if c is not None:
+                acc = acc + c
+        for _ in range(-low):
+            acc = acc / point
         return acc
 
     def __repr__(self):
@@ -224,13 +293,6 @@ class EpsPoly:
             return "EpsPoly(0)"
         parts = [f"e^{d}*{c!r}" for d, c in sorted(self.coeffs.items())]
         return "EpsPoly(" + " + ".join(parts) + ")"
-
-
-def _qc_pow(base, exp):
-    acc = QC_ONE
-    for _ in range(exp):
-        acc = acc * base
-    return acc
 
 
 def zero(domain):

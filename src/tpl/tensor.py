@@ -14,7 +14,6 @@ lists them. This convention is fixed so that files round-trip bit-exactly.
 from __future__ import annotations
 
 import math
-from itertools import product as iterproduct
 
 from . import scalars
 from .matrix import Matrix
@@ -289,8 +288,12 @@ def apply_product_map(maps, t, domain=None):
     """Apply one linear map per factor: (m_1 (x) ... (x) m_k) t.
 
     ``maps[j]`` must have ``cols == t.dims[j]``; the result has dims given
-    by the row counts. Accumulation is exact over exact domains, so entries
-    that cancel are dropped.
+    by the row counts. The maps are applied one mode at a time, in factor
+    order 0, 1, ..., k-1 (the mode-n product): mode j sends each entry
+    ``idx -> v`` to ``c * v`` at ``idx`` with position j replaced by r, for
+    each ``(r, c)`` in column ``idx[j]`` of ``maps[j]``. Accumulation is
+    exact over exact domains, and entries that cancel are dropped after
+    each mode.
     """
     if len(maps) != t.order:
         raise ValueError(f"{len(maps)} maps for order-{t.order} tensor")
@@ -302,27 +305,22 @@ def apply_product_map(maps, t, domain=None):
             )
         if m.domain != domain:
             raise ValueError(f"map {j} domain {m.domain} != {domain}")
-    columns = [m.columns() for m in maps]
-    out_dims = tuple(m.rows for m in maps)
-    acc = {}
-    for idx, v in t.entries.items():
-        cols = []
-        for j, i in enumerate(idx):
-            col = columns[j].get(i)
+    entries = t.entries
+    for j, m in enumerate(maps):
+        columns = m.columns()
+        acc = {}
+        for idx, v in entries.items():
+            col = columns.get(idx[j])
             if not col:
-                break
-            cols.append(col)
-        else:
-            for combo in iterproduct(*cols):
-                out_idx = tuple(i for i, _ in combo)
-                w = v
-                for _, c in combo:
-                    w = w * c
+                continue
+            head, tail = idx[:j], idx[j + 1 :]
+            for r, c in col:
+                out_idx = head + (r,) + tail
+                w = v * c
                 s = acc.get(out_idx)
-                s = w if s is None else s + w
-                acc[out_idx] = s
-    acc = {i: v for i, v in acc.items() if v}
-    return Tensor(out_dims, acc, domain)
+                acc[out_idx] = w if s is None else s + w
+        entries = {i: v for i, v in acc.items() if v}
+    return Tensor(tuple(m.rows for m in maps), entries, domain)
 
 
 def scale(t, factor):

@@ -50,6 +50,14 @@ def test_bound_report_orders_bounds():
         BoundReport("x", lower=Bound(Fraction(3), "a"), upper=Bound(Fraction(2), "b"))
 
 
+def test_bound_report_compares_exact_bounds_exactly():
+    # 1 + 10^-13 is within the float slack of 1, but exact bounds must not be.
+    with pytest.raises(ValueError):
+        BoundReport("x", lower=Bound(Fraction(10**13 + 1, 10**13), "a"), upper=Bound(Fraction(1), "b"))
+    BoundReport("x", lower=Bound(Fraction(1), "a"), upper=Bound(Fraction(1), "b"))
+    BoundReport("x", lower=Bound(1.0 + 1e-13, "a"), upper=Bound(Fraction(1), "b"))
+
+
 def test_disjoint_bounds_w():
     report = disjoint_rank_bounds(w_state(), Catalog.packaged())
     assert report.lower.value == Fraction(2)

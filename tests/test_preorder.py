@@ -77,6 +77,22 @@ def test_composition_transitivity():
         assert verify_restriction(t, v, compose_restrictions(c1, c2))
 
 
+def test_laurent_degeneration_interpolates():
+    # Scaling factor 0 by eps^-1 and factor 1 by eps leaves the expansion of
+    # the W border certificate unchanged, so it must still interpolate.
+    base = w_border_cert()
+    scaled = (
+        base.maps[0].map_values(lambda p: p * EpsPoly.eps(-1)),
+        base.maps[1].map_values(lambda p: p * EpsPoly.eps(1)),
+        base.maps[2],
+    )
+    cert = DegenerationCertificate(scaled, d=1, e=2)
+    assert min(p.min_degree() for p in scaled[0].entries.values()) == -1
+    assert verify_degeneration(ghz(2), w_state(), cert) == (True, 1, 2)
+    rcert = interpolate(ghz(2), w_state(), cert)
+    assert verify_restriction(direct_sum_many([ghz(2)] * 3), w_state(), rcert)
+
+
 def test_ghz2_degenerates_to_w():
     ok, d, e = verify_degeneration(ghz(2), w_state(), w_border_cert())
     assert (ok, d, e) == (True, 1, 2)

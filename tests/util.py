@@ -2,7 +2,10 @@
 
 The rank oracle enumerates minors, independent of the elimination code it
 checks. The flatten oracle goes through dense numpy reshapes, independent
-of the sparse index packing.
+of the sparse index packing. :class:`RefQC` keeps a Gaussian rational as a
+pair of Fractions, independent of the integer-packed ``QC``, and
+:func:`apply_product_map_kfold` expands every input entry through the full
+k-fold product of map columns, independent of the mode-wise contraction.
 """
 
 from __future__ import annotations
@@ -80,3 +83,60 @@ def random_invertible(rng, n, span=4):
         dense = [[m.get(i, j) for j in range(n)] for i in range(n)]
         if _det(dense):
             return m
+
+
+class RefQC:
+    """Complex scalar as a pair of Fractions (reference for the packed QC)."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __eq__(self, other):
+        return isinstance(other, RefQC) and self.re == other.re and self.im == other.im
+
+    def __add__(self, other):
+        return RefQC(self.re + other.re, self.im + other.im)
+
+    def __neg__(self):
+        return RefQC(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return RefQC(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    def __truediv__(self, other):
+        n = other.re * other.re + other.im * other.im
+        if not n:
+            raise ZeroDivisionError("division by zero RefQC")
+        return RefQC(
+            (self.re * other.re + self.im * other.im) / n,
+            (self.im * other.re - self.re * other.im) / n,
+        )
+
+
+def apply_product_map_kfold(maps, t, domain=None):
+    """(m_1 (x) ... (x) m_k) t by the full k-fold product of map columns."""
+    domain = domain or t.domain
+    columns = [m.columns() for m in maps]
+    acc = {}
+    for idx, v in t.entries.items():
+        cols = [columns[j].get(i, []) for j, i in enumerate(idx)]
+        for combo in product(*cols):
+            out_idx = tuple(i for i, _ in combo)
+            w = v
+            for _, c in combo:
+                w = w * c
+            s = acc.get(out_idx)
+            acc[out_idx] = w if s is None else s + w
+    return Tensor(tuple(m.rows for m in maps), {i: v for i, v in acc.items() if v}, domain)
