@@ -10,6 +10,7 @@ are never used as bounds without a verifying witness.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,10 +21,20 @@ from .tensor import Tensor, add
 
 ENV_CATALOG_DIR = "TPL_CATALOG"
 _PACKAGED_CATALOG = Path(__file__).parent / "data" / "catalog"
+# An id names the file <id>.json inside the catalog directory, so it may not
+# contain a path separator or start with a dot.
+_ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 class CatalogError(ValueError):
     """Unknown id, malformed entry, or verification failure."""
+
+
+def _check_id(entry_id):
+    """Return ``entry_id`` if it is a valid catalog id; raise CatalogError otherwise."""
+    if not isinstance(entry_id, str) or not _ID_PATTERN.fullmatch(entry_id):
+        raise CatalogError(f"bad catalog id {entry_id!r}: use letters, digits, '.', '_' and '-'")
+    return entry_id
 
 
 @dataclass(frozen=True)
@@ -117,7 +128,7 @@ def entry_to_json(entry):
 
 def entry_from_json(obj):
     try:
-        entry_id = obj["id"]
+        entry_id = _check_id(obj["id"])
         tensor = jsonio.tensor_from_json(obj["tensor"])
     except (KeyError, jsonio.FormatError) as exc:
         raise CatalogError(f"malformed catalog entry: {exc}") from exc
@@ -175,7 +186,7 @@ class Catalog:
         return list(entries)
 
     def get(self, entry_id):
-        path = self.path / f"{entry_id}.json"
+        path = self.path / f"{_check_id(entry_id)}.json"
         if not path.exists():
             raise CatalogError(f"unknown catalog id {entry_id!r}")
         entry = entry_from_json(jsonio.load_path(path))
@@ -185,6 +196,7 @@ class Catalog:
         return entry
 
     def put(self, entry):
+        _check_id(entry.id)
         verify_entry(entry)
         self.path.mkdir(parents=True, exist_ok=True)
         # Entry first, then manifest: a crash in between leaves at most an

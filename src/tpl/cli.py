@@ -120,9 +120,12 @@ def _parse_theta(text, order):
         return ThetaWeights.uniform(order)
     try:
         weights = tuple(Fraction(part) for part in text.split(","))
-        return ThetaWeights(weights)
+        theta = ThetaWeights(weights)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad theta {text!r}: {exc}", USAGE_ERROR) from exc
+    if len(weights) != order:
+        raise CliError(f"bad theta {text!r}: {len(weights)} weights for order-{order} tensor", USAGE_ERROR)
+    return theta
 
 
 def _flatten_left(t, text):
@@ -247,6 +250,17 @@ def cmd_decide(args):
 
 def cmd_obstruct(args):
     t = _read_tensor(args.tensor)
+    theta = _parse_theta(args.theta, t.order)
+    try:
+        report = _obstruct_report(t, args.p, theta)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    _write_output(jsonio.dumps_pretty(report), args.out)
+    return 0
+
+
+def _obstruct_report(t, p, theta):
+    """The `tpl obstruct` report; ValueError where a functional is undefined for t."""
     report = {"gauge": list(gauge_points(t))}
     if t.dims == (2, 2, 2) and t.domain == RATIONAL:
         det = hyperdeterminant_222(t)
@@ -257,7 +271,7 @@ def cmd_obstruct(args):
     else:
         report["det222"] = None
     if t.order == 3:
-        p = args.p if args.p is not None else min(1, t.dims[2] - 1)
+        p = p if p is not None else min(1, t.dims[2] - 1)
         try:
             spec = KoszulSpec(t.dims[2], p)
         except ValueError as exc:
@@ -267,23 +281,23 @@ def cmd_obstruct(args):
         report["koszul"] = {"p": p, "rank": num, "ratio": f"{ratio.numerator}/{ratio.denominator}"}
     else:
         report["koszul"] = None
-    theta = _parse_theta(args.theta, t.order)
     report["qf"] = {
         "theta": [format_fraction(Fraction(w)) for w in theta.weights],
         "value": quantum_functional_point(t, theta),
     }
-    _write_output(jsonio.dumps_pretty(report), args.out)
-    return 0
+    return report
 
 
 def cmd_bounds(args):
+    if args.n is not None and args.n < 1:
+        raise CliError(f"bad --n {args.n}: need n >= 1", USAGE_ERROR)
     t = _read_tensor(args.tensor)
     catalog = _catalog(args)
     try:
         if args.quantity == "disjoint":
             report = disjoint_rank_bounds(t, catalog, trials=args.trials, seed=args.seed)
         elif args.quantity == "strassen":
-            report = strassen_rank_bounds(t, n_max=args.n or 2, catalog=catalog)
+            report = strassen_rank_bounds(t, n_max=2 if args.n is None else args.n, catalog=catalog)
         else:
             raise CliError(f"unknown quantity {args.quantity!r}", USAGE_ERROR)
     except CatalogError as exc:

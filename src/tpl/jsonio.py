@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import uuid
 from pathlib import Path
 
 from . import scalars
@@ -222,7 +221,7 @@ def load_path(path):
 def dump_path(path, obj):
     """Write obj as pretty JSON via a synced temp file that replaces ``path`` atomically."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(16).hex()}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
             fh.write(dumps_pretty(obj))

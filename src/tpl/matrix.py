@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from . import scalars
 from .scalars import EPS, FLOAT, RATIONAL, QC
 
@@ -166,6 +164,8 @@ class Matrix:
         return self.map_values(scalars.to_eps, domain=EPS)
 
     def to_numpy(self):
+        import numpy as np
+
         if self.domain == EPS:
             raise ValueError("eps matrices have no numeric form")
         a = np.zeros((self.rows, self.cols), dtype=complex)
@@ -190,6 +190,8 @@ def rank(m, tol=None):
 
 def rank_float(array, tol=None):
     """Numeric rank of a dense complex array by SVD thresholding."""
+    import numpy as np
+
     if tol is None:
         tol = DEFAULT_FLOAT_RANK_TOL
     a = np.asarray(array, dtype=complex)

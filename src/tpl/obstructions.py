@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from . import scalars
 from .matrix import Matrix, rank
 from .scalars import EPS, RATIONAL, QC
@@ -209,6 +207,8 @@ class ThetaWeights:
 
 def flattening_entropy(t, j):
     """Base-2 Shannon entropy of the normalized squared singular values."""
+    import numpy as np
+
     m = flatten(t, {j})
     sigma = np.linalg.svd(m.to_numpy(), compute_uv=False)
     sq = sigma**2

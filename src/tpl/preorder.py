@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
-
 from . import scalars
 from .matrix import Matrix, rank, solve_exact
 from .named import ghz, w_state
@@ -312,6 +310,8 @@ def heuristic_restriction_search(t, target, iterations=200, tol=1e-12, restarts=
     exact re-verification. A large residual proves nothing: the search
     never claims non-existence.
     """
+    import numpy as np
+
     if t.order != target.order:
         raise ValueError("order mismatch in restriction search")
     t_np = t.to_numpy()
@@ -338,6 +338,8 @@ def heuristic_restriction_search(t, target, iterations=200, tol=1e-12, restarts=
 
 def _apply_maps_np(t_np, maps, skip=None):
     """Float image of t_np under the factor maps, leaving factor ``skip`` alone."""
+    import numpy as np
+
     image = t_np
     for ax, m in enumerate(maps):
         if ax == skip:
@@ -348,6 +350,8 @@ def _apply_maps_np(t_np, maps, skip=None):
 
 
 def _als_run(t_np, target_np, maps, iterations, tol):
+    import numpy as np
+
     k = t_np.ndim
     for _ in range(iterations):
         for j in range(k):
@@ -363,6 +367,8 @@ def _als_run(t_np, target_np, maps, iterations, tol):
 
 
 def _residual(t_np, target_np, maps):
+    import numpy as np
+
     return float(np.linalg.norm(_apply_maps_np(t_np, maps) - target_np) ** 2)
 
 
@@ -391,6 +397,8 @@ def _masked_als(t_np, target_np, maps, frozen, max_iters, tol, check_every=10):
     Stops early on convergence or when the residual plateaus above the
     tolerance (stuck runs are the expensive case during polishing).
     """
+    import numpy as np
+
     k = t_np.ndim
     res = _residual(t_np, target_np, maps)
     stalls = 0
@@ -478,6 +486,8 @@ def polish_rational_certificate(
     when the sweep dead-ends. Only worth calling when the float residual is
     already at numerical zero.
     """
+    import numpy as np
+
     t_np = t.to_numpy()
     target_np = target.to_numpy()
     maps = [m.to_numpy().astype(complex) if isinstance(m, Matrix) else np.array(m, dtype=complex) for m in float_maps]

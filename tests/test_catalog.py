@@ -193,3 +193,16 @@ def test_catalog_put_crash_keeps_old_files(tmp_path, monkeypatch, fail_on):
     assert set(after) - set(before) == {"w-copy.json"} - {fail_on}
     assert cat.ids() == ["w-rank3"]
     assert cat.get("w-rank3").tensor == w_state()
+
+
+@pytest.mark.parametrize("bad_id", ["../escaped", "a/b", ".hidden", "", 7, None])
+def test_catalog_rejects_ids_outside_the_directory(tmp_path, bad_id):
+    cat = Catalog(tmp_path / "cat")
+    with pytest.raises(CatalogError, match="bad catalog id"):
+        cat.put(CatalogEntry(id=bad_id, tensor=w_state(), decomposition=w_rank3_terms()))
+    with pytest.raises(CatalogError, match="bad catalog id"):
+        cat.get(bad_id)
+    good = entry_to_json(CatalogEntry(id="w-rank3", tensor=w_state(), decomposition=w_rank3_terms()))
+    with pytest.raises(CatalogError, match="bad catalog id"):
+        entry_from_json(dict(good, id=bad_id))
+    assert list(tmp_path.iterdir()) == []

@@ -340,3 +340,80 @@ def test_op_tensor_product_grouped_is_kron(capsys, w_path, tmp_path):
     code, _, _ = run(capsys, argv + ["--out", str(out)])
     assert code == 0
     assert jsonio.tensor_from_json(json.loads(out.read_text())) == kron(w_state(), w_state())
+
+
+@pytest.mark.parametrize("bad_id", ["../escaped", 7, ""])
+def test_catalog_put_rejects_bad_id(capsys, tmp_path, bad_id):
+    cat = tmp_path / "cat"
+    packaged = Catalog.packaged().path / "w-border2-degeneration.json"
+    code, _, _ = run(capsys, ["catalog", "put", "--catalog", str(cat), "--file", str(packaged)])
+    assert code == 0
+    manifest = (cat / "manifest.json").read_bytes()
+    entry = json.loads(packaged.read_text())
+    entry["id"] = bad_id
+    src = tmp_path / "src" / "entry.json"
+    src.parent.mkdir()
+    src.write_text(json.dumps(entry))
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run(capsys, ["catalog", "put", "--catalog", str(cat), "--file", str(src)])
+    assert (code, out) == (1, "")
+    assert err.startswith("tpl: ") and "bad catalog id" in err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (cat / "manifest.json").read_bytes() == manifest
+
+
+def test_catalog_get_rejects_path_id(capsys):
+    code, out, err = run(capsys, ["catalog", "get", "--id", "../x"])
+    assert (code, out) == (1, "")
+    assert err.startswith("tpl: ") and "bad catalog id" in err
+
+
+def test_obstruct_theta_length_usage_error(capsys, w_path):
+    code, out, err = run(capsys, ["obstruct", "--tensor", w_path, "--theta", "1/2,1/2"])
+    assert (code, out) == (2, "")
+    assert err.startswith("tpl: ") and "2 weights for order-3 tensor" in err
+
+
+@pytest.mark.parametrize(
+    "t",
+    [Tensor((2, 2, 2), {}), w_state().to_eps()],
+    ids=["zero", "eps"],
+)
+def test_obstruct_undefined_functional_exits_one(capsys, tmp_path, t):
+    path = tmp_path / "t.json"
+    path.write_text(jsonio.dumps_pretty(jsonio.tensor_to_json(t)))
+    code, out, err = run(capsys, ["obstruct", "--tensor", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("tpl: ")
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_bounds_strassen_bad_n_usage_error(capsys, w_path, n):
+    code, out, err = run(capsys, ["bounds", "strassen", "--tensor", w_path, "--n", n])
+    assert (code, out) == (2, "")
+    assert err.startswith("tpl: ") and "--n" in err
+
+
+def test_startup_does_not_import_numpy():
+    import subprocess
+    import sys
+
+    check = "import sys, tpl, tpl.cli; assert 'numpy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_obstruct_in_child_prints_same_qf(capsys, w_path):
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "tpl.cli", "obstruct", "--tensor", w_path],
+        capture_output=True,
+        text=True,
+    )
+    code, out, _ = run(capsys, ["obstruct", "--tensor", w_path])
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
+    # W's flattenings have squared singular values (2, 1), so 2^H = 3 / 2^(2/3).
+    assert abs(json.loads(out)["qf"]["value"] - 3 / 2 ** (2 / 3)) < 1e-12
