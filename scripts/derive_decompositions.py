@@ -4,10 +4,10 @@
 Two routes feed the catalog, both gated by exact rational re-verification:
 
 * search: float alternating least squares from a unit-tensor source
-  (`heuristic_restriction_search`), rational polishing of converged runs,
-  and a simulated-annealing sweep over half-integer factor entries. The
-  shipped Kronecker-square decomposition of the W state was found by the
-  annealing stage; reruns with the default seeds reproduce it.
+  (`tpl.search.heuristic_restriction_search`), rational polishing of
+  converged runs, and a simulated-annealing sweep over half-integer factor
+  entries. The shipped Kronecker-square decomposition of the W state was
+  found by the annealing stage; reruns with the default seeds reproduce it.
 
 * classical table: the seven bilinear products for the 2x2 matrix product
   (Strassen 1969) written down as factor vectors. The float searches here
@@ -23,11 +23,8 @@ import numpy as np
 
 from tpl.catalog import Catalog, CatalogEntry, decomposition_tensor, verify_entry
 from tpl.named import ghz, mamu, w_state
-from tpl.preorder import (
-    heuristic_restriction_search,
-    polish_rational_certificate,
-    verify_restriction,
-)
+from tpl.preorder import verify_restriction
+from tpl.search import heuristic_restriction_search, polish_rational_certificate
 from tpl.scalars import QC
 from tpl.tensor import kron
 from fractions import Fraction
@@ -52,7 +49,7 @@ def als_attempt(target, rank_terms, seeds, iterations=3000):
         )
         if residual > 1e-18:
             continue
-        arrays = gauge_normalize([m.to_numpy() for m in maps])
+        arrays = gauge_normalize(maps)
         cert = polish_rational_certificate(source, target, arrays, max_denominator=4)
         if cert is None:
             print(f"  als seed {seed}: converged but did not rationalize")

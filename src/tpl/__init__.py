@@ -28,10 +28,8 @@ from .preorder import (
     classify_222,
     compose_restrictions,
     decide_222,
-    heuristic_restriction_search,
     interpolate,
     rank_222,
-    rationalize_maps,
     subrank_222,
     verify_degeneration,
     verify_restriction,

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import jsonio, scalars
 from .preorder import verify_degeneration
 from .scalars import RATIONAL
-from .tensor import Tensor, add
+from .tensor import Tensor
 
 ENV_CATALOG_DIR = "TPL_CATALOG"
 _PACKAGED_CATALOG = Path(__file__).parent / "data" / "catalog"
@@ -81,10 +81,12 @@ def term_tensor(dims, term):
 
 def decomposition_tensor(dims, terms):
     """Exact sum of the simple tensors of a decomposition."""
-    acc = Tensor(dims, {}, RATIONAL)
+    entries = {}
     for term in terms:
-        acc = add(acc, term_tensor(dims, term))
-    return acc
+        for idx, v in term_tensor(dims, term).entries.items():
+            s = entries.get(idx)
+            entries[idx] = v if s is None else s + v
+    return Tensor(dims, entries, RATIONAL)  # drops the entries that cancelled
 
 
 def verify_entry(entry):
@@ -127,33 +129,31 @@ def entry_to_json(entry):
 
 
 def entry_from_json(obj):
+    entry_id = None
     try:
         entry_id = _check_id(obj["id"])
         tensor = jsonio.tensor_from_json(obj["tensor"])
-    except (KeyError, jsonio.FormatError) as exc:
-        raise CatalogError(f"malformed catalog entry: {exc}") from exc
-    decomposition = None
-    if "decomposition" in obj:
-        try:
+        decomposition = None
+        if "decomposition" in obj:
             decomposition = jsonio.decomposition_from_json(obj["decomposition"])
-        except jsonio.FormatError as exc:
-            raise CatalogError(f"entry {entry_id!r}: bad decomposition: {exc}") from exc
-    degeneration = None
-    if "degeneration" in obj:
-        try:
+        degeneration = None
+        if "degeneration" in obj:
             degeneration = Degeneration(
                 source=jsonio.tensor_from_json(obj["degeneration"]["source"]),
                 cert=jsonio.certificate_from_json(obj["degeneration"]["cert"]),
             )
-        except (KeyError, jsonio.FormatError) as exc:
-            raise CatalogError(f"entry {entry_id!r}: bad degeneration: {exc}") from exc
-    return CatalogEntry(
-        id=entry_id,
-        tensor=tensor,
-        decomposition=decomposition,
-        degeneration=degeneration,
-        metadata=obj.get("metadata", {}),
-    )
+        return CatalogEntry(
+            id=entry_id,
+            tensor=tensor,
+            decomposition=decomposition,
+            degeneration=degeneration,
+            metadata=obj.get("metadata", {}),
+        )
+    except CatalogError:
+        raise
+    except jsonio.MALFORMED as exc:
+        where = "catalog entry" if entry_id is None else f"entry {entry_id!r}"
+        raise CatalogError(f"malformed {where}: {exc}") from exc
 
 
 class Catalog:
@@ -180,7 +180,7 @@ class Catalog:
         if not manifest.exists():
             return []
         obj = jsonio.load_path(manifest)
-        entries = obj.get("entries")
+        entries = obj.get("entries") if isinstance(obj, dict) else None
         if not isinstance(entries, list):
             raise CatalogError(f"{manifest}: manifest has no entry list")
         return list(entries)

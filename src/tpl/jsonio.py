@@ -24,6 +24,17 @@ class FormatError(ValueError):
     """Malformed or inconsistent JSON payload."""
 
 
+# What parsing a payload of the wrong shape raises: a missing key, a value
+# of the wrong type or form, or a list where an object was expected.
+MALFORMED = (KeyError, TypeError, ValueError, AttributeError)
+
+
+def _malformed(what, exc):
+    if isinstance(exc, KeyError):
+        return FormatError(f"{what} object missing field {exc}")
+    return FormatError(f"bad {what} object: {exc}")
+
+
 def _qc_fields(v):
     return {
         "re": scalars.format_fraction(v.re),
@@ -89,21 +100,18 @@ def tensor_from_json(obj):
     try:
         dims = tuple(int(d) for d in obj["dims"])
         domain = obj["domain"]
-        raw = obj["entries"]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"tensor object missing fields: {exc}") from exc
-    if domain not in scalars.DOMAINS:
-        raise FormatError(f"unknown domain {domain!r}")
-    if "order" in obj and int(obj["order"]) != len(dims):
-        raise FormatError("order field disagrees with dims length")
-    entries = {}
-    for item in raw:
-        idx = tuple(int(i) for i in item["i"])
-        entries[idx] = scalar_from_json(domain, item)
-    try:
+        if domain not in scalars.DOMAINS:
+            raise FormatError(f"unknown domain {domain!r}")
+        if "order" in obj and int(obj["order"]) != len(dims):
+            raise FormatError("order field disagrees with dims length")
+        entries = {}
+        for item in obj["entries"]:
+            entries[tuple(int(i) for i in item["i"])] = scalar_from_json(domain, item)
         return Tensor(dims, entries, domain)
-    except (ValueError, TypeError) as exc:
-        raise FormatError(str(exc)) from exc
+    except FormatError:
+        raise
+    except MALFORMED as exc:
+        raise _malformed("tensor", exc) from exc
 
 
 def matrix_to_json(m):
@@ -120,17 +128,15 @@ def matrix_from_json(obj):
         rows = int(obj["rows"])
         cols = int(obj["cols"])
         domain = obj["domain"]
-        raw = obj["entries"]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"matrix object missing fields: {exc}") from exc
-    entries = {}
-    for item in raw:
-        i, j = (int(x) for x in item["i"])
-        entries[(i, j)] = scalar_from_json(domain, item)
-    try:
+        entries = {}
+        for item in obj["entries"]:
+            i, j = (int(x) for x in item["i"])
+            entries[(i, j)] = scalar_from_json(domain, item)
         return Matrix(rows, cols, entries, domain)
-    except (ValueError, TypeError) as exc:
-        raise FormatError(str(exc)) from exc
+    except FormatError:
+        raise
+    except MALFORMED as exc:
+        raise _malformed("matrix", exc) from exc
 
 
 def certificate_to_json(cert):
@@ -150,15 +156,16 @@ def certificate_from_json(obj):
     try:
         kind = obj["kind"]
         maps = tuple(matrix_from_json(m) for m in obj["maps"])
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"certificate object missing fields: {exc}") from exc
-    try:
         if kind == "restriction":
             return RestrictionCertificate(maps)
         if kind == "degeneration":
             return DegenerationCertificate(maps, int(obj.get("d", 0)), int(obj.get("e", 0)))
+    except FormatError:
+        raise
     except CertificateError as exc:
         raise FormatError(str(exc)) from exc
+    except MALFORMED as exc:
+        raise _malformed("certificate", exc) from exc
     raise FormatError(f"unknown certificate kind {kind!r}")
 
 
@@ -199,7 +206,12 @@ def decomposition_to_json(terms):
 
 
 def decomposition_from_json(raw):
-    return [[vector_from_json(vec) for vec in term] for term in raw]
+    try:
+        return [[vector_from_json(vec) for vec in term] for term in raw]
+    except FormatError:
+        raise
+    except MALFORMED as exc:
+        raise _malformed("decomposition", exc) from exc
 
 
 def dumps_pretty(obj):

@@ -18,7 +18,7 @@ from . import scalars
 from .matrix import Matrix, rank, solve_exact
 from .named import ghz, w_state
 from .obstructions import hyperdeterminant_222
-from .scalars import EPS, FLOAT, RATIONAL, QC
+from .scalars import EPS, RATIONAL, QC
 from .tensor import (
     Tensor,
     apply_product_map,
@@ -299,253 +299,3 @@ def subrank_222(t):
     if cls is _C.ZERO:
         return 0
     return 2 if cls is _C.GHZ else 1
-
-
-def heuristic_restriction_search(t, target, iterations=200, tol=1e-12, restarts=50, seed=0):
-    """Alternating least squares over the factor maps.
-
-    Minimizes || (m_1 (x) ... (x) m_k) t - t' ||^2 over float maps, restarting
-    from Gaussian initializations. Returns ``(cert, residual)`` with float
-    matrices; a small residual flags a candidate for rationalization and
-    exact re-verification. A large residual proves nothing: the search
-    never claims non-existence.
-    """
-    import numpy as np
-
-    if t.order != target.order:
-        raise ValueError("order mismatch in restriction search")
-    t_np = t.to_numpy()
-    target_np = target.to_numpy()
-    rng = np.random.default_rng(seed)
-    best = None
-    best_res = float("inf")
-    for restart in range(restarts):
-        if restart == 0 and t.dims == target.dims:
-            maps = [np.eye(td, sd, dtype=complex) for td, sd in zip(target.dims, t.dims)]
-        else:
-            maps = [
-                rng.standard_normal((td, sd)) + 0j
-                for td, sd in zip(target.dims, t.dims)
-            ]
-        res = _als_run(t_np, target_np, maps, iterations, tol)
-        if res < best_res:
-            best_res = res
-            best = [m.copy() for m in maps]
-        if best_res <= tol:
-            break
-    return tuple(_np_to_float_matrix(m) for m in best), float(best_res)
-
-
-def _apply_maps_np(t_np, maps, skip=None):
-    """Float image of t_np under the factor maps, leaving factor ``skip`` alone."""
-    import numpy as np
-
-    image = t_np
-    for ax, m in enumerate(maps):
-        if ax == skip:
-            continue
-        image = np.tensordot(m, image, axes=(1, ax))
-        image = np.moveaxis(image, 0, ax)
-    return image
-
-
-def _als_run(t_np, target_np, maps, iterations, tol):
-    import numpy as np
-
-    k = t_np.ndim
-    for _ in range(iterations):
-        for j in range(k):
-            image = _apply_maps_np(t_np, maps, skip=j)
-            a = np.moveaxis(image, j, 0).reshape(t_np.shape[j], -1)
-            b = np.moveaxis(target_np, j, 0).reshape(target_np.shape[j], -1)
-            sol, *_ = np.linalg.lstsq(a.T, b.T, rcond=None)
-            maps[j] = sol.T
-        res = _residual(t_np, target_np, maps)
-        if res <= tol:
-            return res
-    return _residual(t_np, target_np, maps)
-
-
-def _residual(t_np, target_np, maps):
-    import numpy as np
-
-    return float(np.linalg.norm(_apply_maps_np(t_np, maps) - target_np) ** 2)
-
-
-def rationalize_maps(float_maps, max_denominator=64):
-    """Round float maps entrywise to small rationals.
-
-    Imaginary parts are rounded too; entries that round to zero vanish.
-    The result still needs exact re-verification by the caller.
-    """
-    out = []
-    for m in float_maps:
-        entries = {}
-        for (i, j), v in m.entries.items():
-            re = Fraction(v.real).limit_denominator(max_denominator)
-            im = Fraction(v.imag).limit_denominator(max_denominator)
-            q = QC(re, im)
-            if q:
-                entries[(i, j)] = q
-        out.append(Matrix(m.rows, m.cols, entries, RATIONAL))
-    return RestrictionCertificate(tuple(out))
-
-
-def _masked_als(t_np, target_np, maps, frozen, max_iters, tol, check_every=10):
-    """ALS over the factor maps with individual entries held fixed.
-
-    Stops early on convergence or when the residual plateaus above the
-    tolerance (stuck runs are the expensive case during polishing).
-    """
-    import numpy as np
-
-    k = t_np.ndim
-    res = _residual(t_np, target_np, maps)
-    stalls = 0
-    for it in range(max_iters):
-        for j in range(k):
-            partial = _apply_maps_np(t_np, maps, skip=j)
-            a = np.moveaxis(partial, j, 0).reshape(t_np.shape[j], -1)
-            b = np.moveaxis(target_np, j, 0).reshape(target_np.shape[j], -1)
-            for r in range(maps[j].shape[0]):
-                fixed = frozen[j][r]
-                free = ~fixed
-                if not free.any():
-                    continue
-                rhs = b[r] - maps[j][r, fixed] @ a[fixed, :]
-                sol, *_ = np.linalg.lstsq(a[free, :].T, rhs, rcond=None)
-                maps[j][r, free] = sol
-        if it % check_every == check_every - 1 or it == max_iters - 1:
-            new_res = _residual(t_np, target_np, maps)
-            if new_res <= tol:
-                return new_res
-            if new_res > res * 0.9:
-                stalls += 1
-                if stalls >= 8:
-                    return new_res
-            else:
-                stalls = 0
-            res = new_res
-    return res
-
-
-def _rational_candidates(v, max_denominator, count=3):
-    seen = {}
-    for q in range(1, max_denominator + 1):
-        re = Fraction(v.real).limit_denominator(q)
-        im = Fraction(v.imag).limit_denominator(q)
-        cand = QC(re, im)
-        dist = abs(v - complex(re) - 1j * complex(im))
-        key = (re, im)
-        if key not in seen or dist < seen[key][0]:
-            seen[key] = (dist, cand)
-    ranked = sorted(seen.values(), key=lambda x: x[0])
-    return [c for _, c in ranked[:count]]
-
-
-def _try_round_all(t, target, maps, max_denominator):
-    for q in (1, 2, max_denominator):
-        cert = rationalize_maps(
-            [_np_to_float_matrix(m) for m in maps], max_denominator=q
-        )
-        shapes_ok = all(
-            mm.rows == target.dims[j] and mm.cols == t.dims[j]
-            for j, mm in enumerate(cert.maps)
-        )
-        if shapes_ok and verify_restriction(t, target, cert):
-            return cert
-    return None
-
-
-def _np_to_float_matrix(a):
-    entries = {
-        (i, j): complex(a[i, j])
-        for i in range(a.shape[0])
-        for j in range(a.shape[1])
-        if a[i, j] != 0
-    }
-    return Matrix(a.shape[0], a.shape[1], entries, FLOAT)
-
-
-def polish_rational_certificate(
-    t,
-    target,
-    float_maps,
-    max_denominator=4,
-    als_iters=2500,
-    tol=1e-18,
-    entry_tries=8,
-    candidate_tries=3,
-):
-    """Drag a numerically exact certificate onto a rational point.
-
-    Repeatedly pins the free map entry closest to a small rational and
-    re-optimizes the remaining entries with masked alternating least
-    squares, backtracking over nearby candidates when the residual cannot
-    recover. Returns an exactly verified RestrictionCertificate, or None
-    when the sweep dead-ends. Only worth calling when the float residual is
-    already at numerical zero.
-    """
-    import numpy as np
-
-    t_np = t.to_numpy()
-    target_np = target.to_numpy()
-    maps = [m.to_numpy().astype(complex) if isinstance(m, Matrix) else np.array(m, dtype=complex) for m in float_maps]
-    frozen = [np.zeros(m.shape, dtype=bool) for m in maps]
-    pinned = [{} for _ in maps]
-    res = _masked_als(t_np, target_np, maps, frozen, als_iters, tol)
-    if res > tol:
-        return None
-    total = sum(m.size for m in maps)
-    for _step in range(total):
-        cert = _try_round_all(t, target, maps, max_denominator)
-        if cert is not None:
-            return cert
-        options = []
-        for j, m in enumerate(maps):
-            for (r, c) in map(tuple, np.argwhere(~frozen[j])):
-                v = complex(m[r, c])
-                cands = _rational_candidates(v, max_denominator, candidate_tries)
-                if cands:
-                    dist = abs(v - cands[0].to_complex())
-                    options.append((dist, j, r, c, cands))
-        if not options:
-            break
-        options.sort(key=lambda o: o[0])
-        committed = False
-        rng = np.random.default_rng(len(options))
-        for _dist, j, r, c, cands in options[:entry_tries]:
-            saved = [m.copy() for m in maps]
-            for cand in cands:
-                maps[j][r, c] = cand.to_complex()
-                frozen[j][r, c] = True
-                res = _masked_als(t_np, target_np, maps, frozen, als_iters, tol)
-                if res > tol:
-                    # local recovery failed; retry once from a fresh start of
-                    # the free entries, keeping everything pinned so far
-                    for jj, m in enumerate(maps):
-                        fr = frozen[jj]
-                        m[~fr] = rng.standard_normal(int((~fr).sum()))
-                    res = _masked_als(t_np, target_np, maps, frozen, als_iters, tol)
-                if res <= tol:
-                    pinned[j][(r, c)] = cand
-                    committed = True
-                    break
-                frozen[j][r, c] = False
-                for m, s in zip(maps, saved):
-                    m[:] = s
-            if committed:
-                break
-        if not committed:
-            return None
-    cert_maps = []
-    for j, m in enumerate(maps):
-        entries = {}
-        for (r, c), cand in pinned[j].items():
-            if cand:
-                entries[(r, c)] = cand
-        cert_maps.append(Matrix(m.shape[0], m.shape[1], entries, RATIONAL))
-    cert = RestrictionCertificate(tuple(cert_maps))
-    if all(np.all(f) for f in frozen) and verify_restriction(t, target, cert):
-        return cert
-    return None

@@ -148,19 +148,20 @@ def _check_same_order_domain(t, u):
 
 def direct_sum(t, u):
     """Block embedding t (+) u; t occupies the low index block on every factor."""
-    _check_same_order_domain(t, u)
-    dims = tuple(dt + du for dt, du in zip(t.dims, u.dims))
-    entries = dict(t.entries)
-    for idx, v in u.entries.items():
-        entries[tuple(i + dt for i, dt in zip(idx, t.dims))] = v
-    return Tensor(dims, entries, t.domain)
+    return direct_sum_many([t, u])
 
 
 def direct_sum_many(tensors):
-    acc = tensors[0]
-    for t in tensors[1:]:
-        acc = direct_sum(acc, t)
-    return acc
+    """Block embedding of the tensors in order, each after the last on every factor."""
+    first = tensors[0]
+    offsets = (0,) * first.order
+    entries = {}
+    for t in tensors:
+        _check_same_order_domain(first, t)
+        for idx, v in t.entries.items():
+            entries[tuple(i + o for i, o in zip(idx, offsets))] = v
+        offsets = tuple(o + d for o, d in zip(offsets, t.dims))
+    return Tensor(offsets, entries, first.domain)
 
 
 def group(t, spec):
@@ -321,25 +322,3 @@ def apply_product_map(maps, t, domain=None):
                 acc[out_idx] = w if s is None else s + w
         entries = {i: v for i, v in acc.items() if v}
     return Tensor(tuple(m.rows for m in maps), entries, domain)
-
-
-def scale(t, factor):
-    factor = scalars.coerce(t.domain, factor)
-    if not factor:
-        return Tensor(t.dims, {}, t.domain)
-    return Tensor(t.dims, {i: v * factor for i, v in t.entries.items()}, t.domain)
-
-
-def add(t, u):
-    """Entrywise sum of equal-shaped tensors (exact cancellation preserved)."""
-    if t.dims != u.dims or t.domain != u.domain:
-        raise ValueError("shape or domain mismatch in tensor sum")
-    entries = dict(t.entries)
-    for idx, v in u.entries.items():
-        s = entries.get(idx)
-        s = v if s is None else s + v
-        if s:
-            entries[idx] = s
-        else:
-            entries.pop(idx, None)
-    return Tensor(t.dims, entries, t.domain)

@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -417,3 +418,79 @@ def test_obstruct_in_child_prints_same_qf(capsys, w_path):
     assert proc.stdout == out
     # W's flattenings have squared singular values (2, 1), so 2^H = 3 / 2^(2/3).
     assert abs(json.loads(out)["qf"]["value"] - 3 / 2 ** (2 / 3)) < 1e-12
+
+
+def _set(key, value):
+    def edit(obj):
+        obj[key] = value
+        return obj
+
+    return edit
+
+
+def _edit_first_entry(edit):
+    def apply(obj):
+        edit(obj["entries"][0])
+        return obj
+
+    return apply
+
+
+def _edit_first_map(edit):
+    def apply(obj):
+        edit(obj["maps"][0])
+        return obj
+
+    return apply
+
+
+MALFORMED_JSON = {
+    "tensor-entries-int": ("tensor", _set("entries", 5)),
+    "tensor-entries-list-of-int": ("tensor", _set("entries", [1])),
+    "tensor-entry-without-i": ("tensor", _edit_first_entry(lambda e: e.pop("i"))),
+    "tensor-entry-i-str": ("tensor", _edit_first_entry(_set("i", "a"))),
+    "tensor-dims-str": ("tensor", _set("dims", ["a"])),
+    "tensor-order-str": ("tensor", _set("order", "x")),
+    "matrix-rows-str": ("cert", _edit_first_map(_set("rows", "a"))),
+    "matrix-entry-short-i": ("cert", _edit_first_map(_edit_first_entry(_set("i", [0])))),
+    "cert-d-str": ("cert", _set("d", "x")),
+    "entry-list": ("entry", lambda obj: [1]),
+    "entry-decomposition-int": ("entry", _set("decomposition", 5)),
+    "entry-degeneration-int": ("entry", _set("degeneration", 5)),
+    "manifest-list": ("manifest", None),
+    "listed-entry-list": ("listed", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_JSON))
+def test_malformed_json_exits_with_message(tmp_path, w_path, ghz2_path, border_cert_path, case):
+    import subprocess
+    import sys
+
+    kind, edit = MALFORMED_JSON[case]
+    bad = tmp_path / "bad.json"
+    cat = tmp_path / "cat"
+    cat.mkdir()
+    if kind == "tensor":
+        bad.write_text(json.dumps(edit(json.loads(Path(w_path).read_text()))))
+        argv = ["classify", "--tensor", str(bad)]
+    elif kind == "cert":
+        bad.write_text(json.dumps(edit(json.loads(Path(border_cert_path).read_text()))))
+        argv = ["cert-verify", "--src", ghz2_path, "--dst", w_path, "--cert", str(bad)]
+    elif kind == "entry":
+        packaged = Catalog.packaged().path / "w-border2-degeneration.json"
+        bad.write_text(json.dumps(edit(json.loads(packaged.read_text()))))
+        argv = ["catalog", "put", "--catalog", str(cat), "--file", str(bad)]
+    elif kind == "manifest":
+        (cat / "manifest.json").write_text("[1]")
+        argv = ["catalog", "list", "--catalog", str(cat)]
+    else:
+        (cat / "manifest.json").write_text(json.dumps({"entries": ["x"]}))
+        (cat / "x.json").write_text("[1]")
+        argv = ["catalog", "get", "--catalog", str(cat), "--id", "x"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "tpl.cli", *argv], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("tpl: ")
+    assert "Traceback" not in proc.stderr

@@ -99,6 +99,12 @@ def test_decomposition_round_trip():
     assert back == terms
 
 
+@pytest.mark.parametrize("raw", [5, [5], [[5]], [[[{"re": "x", "im": "0"}]]]])
+def test_malformed_decomposition_is_format_error(raw):
+    with pytest.raises(jsonio.FormatError):
+        jsonio.decomposition_from_json(raw)
+
+
 def test_writer_is_deterministic():
     t = w_state()
     a = jsonio.dumps_pretty(jsonio.tensor_to_json(t))

@@ -14,10 +14,8 @@ from tpl.preorder import (
     classify_222,
     compose_restrictions,
     decide_222,
-    heuristic_restriction_search,
     identity_certificate,
     interpolate,
-    polish_rational_certificate,
     rank_222,
     representative_222,
     subrank_222,
@@ -241,28 +239,3 @@ def test_w_rank_three_witnessed():
     assert verify_restriction(ghz(3), w_state(), cert)
     # Lower: GHZ_2 does not restrict to W, so the rank exceeds 2.
     assert decide_222(ghz(2), w_state(), "restriction") is False
-
-
-def test_als_identity_seed_converges():
-    w = w_state()
-    maps, residual = heuristic_restriction_search(w, w, iterations=5, restarts=1)
-    assert residual <= 1e-12
-
-
-def test_als_finds_w_to_epr():
-    maps, residual = heuristic_restriction_search(
-        w_state(), epr_12(), iterations=200, restarts=20, seed=1
-    )
-    assert residual <= 1e-12
-    cert = polish_rational_certificate(w_state(), epr_12(), maps, max_denominator=4)
-    assert cert is not None
-    assert verify_restriction(w_state(), epr_12(), cert)
-
-
-def test_als_ghz2_to_w_stays_away_from_zero():
-    """Heuristic evidence only: bounded iteration ALS stalls at positive
-    residual for a conversion that exists only in the limit."""
-    maps, residual = heuristic_restriction_search(
-        ghz(2), w_state(), iterations=200, restarts=50, seed=2
-    )
-    assert residual > 1e-6
