@@ -38,6 +38,16 @@ class Bound:
     def as_float(self):
         return float(self.value)
 
+    def exceeds(self, other):
+        """True iff this bound's value is above ``other``'s.
+
+        Exact when both values are Fractions; otherwise the floats are
+        compared with a 1e-12 slack.
+        """
+        if isinstance(self.value, Fraction) and isinstance(other.value, Fraction):
+            return self.value > other.value
+        return self.as_float() > other.as_float() + 1e-12
+
     def to_json(self):
         value = self.value
         out = {"value": str(value) if isinstance(value, Fraction) else value}
@@ -57,12 +67,7 @@ class BoundReport:
 
     def __post_init__(self):
         if self.lower and self.upper:
-            lo, hi = self.lower.value, self.upper.value
-            if isinstance(lo, Fraction) and isinstance(hi, Fraction):
-                exceeds = lo > hi
-            else:
-                exceeds = self.lower.as_float() > self.upper.as_float() + 1e-12
-            if exceeds:
+            if self.lower.exceeds(self.upper):
                 raise ValueError(
                     f"{self.quantity}: lower bound {self.lower.value} exceeds "
                     f"upper bound {self.upper.value}"
@@ -115,7 +120,7 @@ def _flattening_lower_bounds(t):
 def _best_lower(candidates):
     best = None
     for c in candidates:
-        if best is None or c.as_float() > best.as_float() + 1e-12:
+        if best is None or c.exceeds(best):
             best = c
     return best
 
@@ -162,7 +167,7 @@ def disjoint_rank_bounds(t, catalog=None, trials=16, seed=0):
             )
     upper = None
     for c in upper_candidates:
-        if upper is None or c.as_float() < upper.as_float() - 1e-12:
+        if upper is None or upper.exceeds(c):
             upper = c
     return BoundReport("disjoint asymptotic rank", lower=lower, upper=upper)
 
@@ -203,7 +208,7 @@ def strassen_rank_bounds(t, n_max=2, catalog=None):
                 f"verified {terms}-term decomposition of the Kronecker power n={n}",
                 {"kind": "decomposition", "id": entry.id, "n": n, "terms": terms},
             )
-            if upper is None or cand.as_float() < upper.as_float() - 1e-12:
+            if upper is None or upper.exceeds(cand):
                 upper = cand
     extras = {}
     if t.dims == (4, 4, 4) and equal_up_to_padding(t, mamu(2)):

@@ -43,7 +43,7 @@ from .preorder import (
     verify_degeneration,
     verify_restriction,
 )
-from .scalars import RATIONAL, format_fraction
+from .scalars import RATIONAL, format_fraction, parse_fraction
 from .tensor import (
     GroupingSpec,
     direct_sum,
@@ -119,7 +119,7 @@ def _parse_theta(text, order):
     if text is None:
         return ThetaWeights.uniform(order)
     try:
-        weights = tuple(Fraction(part) for part in text.split(","))
+        weights = tuple(parse_fraction(part.strip()) for part in text.split(","))
         theta = ThetaWeights(weights)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad theta {text!r}: {exc}", USAGE_ERROR) from exc

@@ -27,13 +27,9 @@ import math
 from dataclasses import dataclass
 from itertools import product as iterproduct
 
-from .tensor import GroupingSpec, Tensor, tensor_product
+from .tensor import GroupingSpec, StructureTooLarge, Tensor, tensor_product
 
 FAMILIES = ("Disjoint", "Strassen", "Triangular", "Kagome", "Fan")
-
-
-class StructureTooLarge(ValueError):
-    """Desk-scale guard: the requested finite structure will not fit."""
 
 
 class Hypergraph:

@@ -16,6 +16,7 @@ values of that domain.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 RATIONAL = "rational"
@@ -25,13 +26,24 @@ FLOAT = "float"
 DOMAINS = (RATIONAL, EPS, FLOAT)
 
 
+_FRACTION = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_fraction(s):
-    """Parse "p/q" or "p" into a Fraction. Accepts ints and Fractions as-is."""
+    """Parse "p/q" or "p" (``[+-]?digits[/digits]``) into a Fraction.
+
+    This is the form :func:`format_fraction` writes. Ints and Fractions are
+    accepted as they are. Anything else raises ValueError, so exponent
+    forms such as "1e4000000", which would expand to millions of digits,
+    and decimals such as "1.5" are rejected before any arithmetic.
+    """
     if isinstance(s, Fraction):
         return s
     if isinstance(s, int):
         return Fraction(s)
-    return Fraction(str(s))
+    if isinstance(s, str) and _FRACTION.fullmatch(s):
+        return Fraction(s)
+    raise ValueError(f"not a fraction p or p/q: {s!r}")
 
 
 def format_fraction(f):
@@ -173,6 +185,22 @@ def _qc(a, b, n):
 
 QC_ZERO = QC(0)
 QC_ONE = QC(1)
+
+
+def _common_denominator(coeffs):
+    """(lcm of the QC coefficients' denominators, map n -> lcm // n)."""
+    scale = {c._n: 0 for c in coeffs}
+    den = math.lcm(*scale)
+    for n in scale:
+        scale[n] = den // n
+    return den, scale
+
+
+def _eps(coeffs):
+    """EpsPoly from a map degree -> nonzero QC, unchecked."""
+    v = object.__new__(EpsPoly)
+    v.coeffs = coeffs
+    return v
 
 
 class EpsPoly:

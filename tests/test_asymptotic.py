@@ -9,6 +9,7 @@ from tpl.asymptotic import (
     Bound,
     BoundReport,
     StructureTooLarge,
+    _best_lower,
     disjoint_rank_bounds,
     lattice_construction,
     lattice_obstruction,
@@ -56,6 +57,14 @@ def test_bound_report_compares_exact_bounds_exactly():
         BoundReport("x", lower=Bound(Fraction(10**13 + 1, 10**13), "a"), upper=Bound(Fraction(1), "b"))
     BoundReport("x", lower=Bound(Fraction(1), "a"), upper=Bound(Fraction(1), "b"))
     BoundReport("x", lower=Bound(1.0 + 1e-13, "a"), upper=Bound(Fraction(1), "b"))
+
+
+def test_best_lower_compares_exact_bounds_exactly():
+    # 1 + 10^-13 is within the float slack of 1; the exact comparison still sees it.
+    one, above = Bound(Fraction(1), "a"), Bound(Fraction(10**13 + 1, 10**13), "b")
+    assert _best_lower([one, above]) is above
+    assert _best_lower([above, one]) is above
+    assert _best_lower([Bound(1.0, "c"), Bound(1.0 + 1e-13, "d")]).witness == "c"
 
 
 def test_disjoint_bounds_w():

@@ -494,3 +494,46 @@ def test_malformed_json_exits_with_message(tmp_path, w_path, ghz2_path, border_c
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("tpl: ")
     assert "Traceback" not in proc.stderr
+
+
+def _tensor_with_first_re(tmp_path, w_path, text):
+    obj = json.loads(Path(w_path).read_text())
+    obj["entries"][0]["re"] = text
+    path = tmp_path / "bad-scalar.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_exponent_scalar_exits_one_fast(capsys, tmp_path, w_path):
+    import time
+
+    path = _tensor_with_first_re(tmp_path, w_path, "1e4000000")
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["classify", "--tensor", path])
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (1, "")
+    assert err.startswith("tpl: ")
+    assert elapsed < 0.1
+
+
+def test_decimal_scalar_exits_one(capsys, tmp_path, w_path):
+    code, out, err = run(capsys, ["classify", "--tensor", _tensor_with_first_re(tmp_path, w_path, "1.5")])
+    assert (code, out) == (1, "")
+    assert err.startswith("tpl: ")
+
+
+@pytest.mark.parametrize("theta", ["1e400,0,0", "0.5,0.25,0.25", "1/3,1/3,x"])
+def test_obstruct_bad_theta_weight_usage_error(capsys, w_path, theta):
+    code, out, err = run(capsys, ["obstruct", "--tensor", w_path, "--theta", theta])
+    assert (code, out) == (2, "")
+    assert err.startswith("tpl: ") and "bad theta" in err
+
+
+def test_cert_verify_huge_degree_span_exits_one(capsys, ghz2_path, w_path, tmp_path):
+    c, e = EpsPoly.const, EpsPoly.eps
+    m = Matrix(2, 2, {(0, 0): c(1), (1, 0): e(1), (0, 1): EpsPoly({0: QC(-1), 10**9: QC(1)})}, EPS)
+    path = tmp_path / "wide.json"
+    path.write_text(jsonio.dumps_pretty(jsonio.certificate_to_json(DegenerationCertificate((m, m, m), d=1, e=2))))
+    code, out, err = run(capsys, ["cert-verify", "--src", ghz2_path, "--dst", w_path, "--cert", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("tpl: ") and "exceed" in err

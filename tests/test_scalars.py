@@ -55,3 +55,14 @@ def test_eps_poly_degrees_and_eval():
 def test_fraction_round_trip():
     for s in ["0", "1", "-3/4", "22/7"]:
         assert format_fraction(parse_fraction(s)) == s
+
+
+@pytest.mark.parametrize("s", ["+5", "007/3", "-1/2", 3, Fraction(2, 3)])
+def test_parse_fraction_accepts_the_written_grammar(s):
+    assert parse_fraction(s) == Fraction(s)
+
+
+@pytest.mark.parametrize("s", ["1.5", "1e4000000", "1E3", " 1", "1 /2", "1/-2", "", "/2", "inf", "nan", "½", 1.5, None])
+def test_parse_fraction_rejects_other_forms(s):
+    with pytest.raises(ValueError):
+        parse_fraction(s)
