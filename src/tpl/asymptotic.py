@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .catalog import Catalog
 from .hypergraph import StructureTooLarge, build_structure, make_family, structure_dims
-from .matrix import rank
+from .matrix import check_dense_size, rank
 from .named import ghz, mamu
 from .obstructions import KoszulSpec, flattening_ratio, gauge_points, koszul_flatten
 from .preorder import (
@@ -26,7 +26,6 @@ from .preorder import (
 from .tensor import equal_up_to_padding, kron_power, strip_padding
 
 MATRIX_SIDE_GUARD = 10**5
-STRUCTURE_ENTRY_GUARD = 10**6
 
 
 @dataclass(frozen=True)
@@ -262,11 +261,7 @@ def lattice_construction(t, other, degcert, family, n):
         raise CertificateError("degeneration certificate does not verify")
     h = make_family(family, n)
     for assignment in (t, other):
-        dims = structure_dims(h, assignment)
-        if math.prod(dims) > STRUCTURE_ENTRY_GUARD:
-            raise StructureTooLarge(
-                f"structure over {family} n={n} has {math.prod(dims)} potential entries"
-            )
+        check_dense_size(structure_dims(h, assignment), f"structure over {family} n={n}")
     source = build_structure(h, t)
     target = build_structure(h, other)
     slots = h.vertex_slots()

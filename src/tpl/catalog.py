@@ -14,10 +14,12 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import jsonio, scalars
+from . import jsonio
+from .matrix import Matrix
+from .named import ghz
 from .preorder import verify_degeneration
 from .scalars import RATIONAL
-from .tensor import Tensor
+from .tensor import Tensor, apply_product_map
 
 ENV_CATALOG_DIR = "TPL_CATALOG"
 _PACKAGED_CATALOG = Path(__file__).parent / "data" / "catalog"
@@ -56,37 +58,31 @@ class CatalogEntry:
 
 def term_tensor(dims, term):
     """Simple tensor from one decomposition term (one vector per factor)."""
-    if len(term) != len(dims):
-        raise CatalogError(f"term has {len(term)} factors for order {len(dims)}")
-    for j, vec in enumerate(term):
-        if len(vec) != dims[j]:
-            raise CatalogError(
-                f"term factor {j} has length {len(vec)}, dimension is {dims[j]}"
-            )
-    entries = {}
-
-    def rec(j, idx, val):
-        if j == len(dims):
-            if val:
-                prev = entries.get(idx)
-                entries[idx] = val if prev is None else prev + val
-            return
-        for i, c in enumerate(term[j]):
-            if c:
-                rec(j + 1, idx + (i,), val * c)
-
-    rec(0, (), scalars.QC_ONE)
-    return Tensor(dims, entries, RATIONAL)
+    return decomposition_tensor(dims, [term])
 
 
 def decomposition_tensor(dims, terms):
-    """Exact sum of the simple tensors of a decomposition."""
-    entries = {}
+    """Exact sum of the simple tensors of a decomposition.
+
+    A rank-R decomposition is a restriction from the unit tensor <R>: map j
+    has term r's j-th vector as column r, and applying the maps to <R>
+    sums the terms' outer products.
+    """
+    if not dims:
+        raise CatalogError("a decomposition needs a tensor of order at least 1")
     for term in terms:
-        for idx, v in term_tensor(dims, term).entries.items():
-            s = entries.get(idx)
-            entries[idx] = v if s is None else s + v
-    return Tensor(dims, entries, RATIONAL)  # drops the entries that cancelled
+        if len(term) != len(dims):
+            raise CatalogError(f"term has {len(term)} factors for order {len(dims)}")
+        for j, (vec, d) in enumerate(zip(term, dims)):
+            if len(vec) != d:
+                raise CatalogError(f"term factor {j} has length {len(vec)}, dimension is {d}")
+    if not terms:
+        return Tensor(dims, {}, RATIONAL)
+    maps = []
+    for j, d in enumerate(dims):
+        columns = {(i, r): c for r, term in enumerate(terms) for i, c in enumerate(term[j])}
+        maps.append(Matrix(d, len(terms), columns))
+    return apply_product_map(maps, ghz(len(terms), len(dims)))
 
 
 def verify_entry(entry):

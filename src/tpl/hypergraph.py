@@ -25,9 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iterproduct
+from functools import reduce
 
-from .tensor import GroupingSpec, StructureTooLarge, Tensor, tensor_product
+from . import scalars
+from .scalars import RATIONAL
+from .tensor import GroupingSpec, StructureTooLarge, Tensor, group, tensor_product
 
 FAMILIES = ("Disjoint", "Strassen", "Triangular", "Kagome", "Fan")
 
@@ -284,39 +286,42 @@ def structure_dims(h, assignment):
     return tuple(dims)
 
 
+def _slot_blocks(edges, slots):
+    """Per vertex, the positions of its slots among the edges' factors, edge by edge.
+
+    ``slots`` is :meth:`Hypergraph.vertex_slots` of a hypergraph whose edges
+    have the sizes of ``edges``; an isolated vertex gets an empty block.
+    """
+    offsets = [0]
+    for e in edges:
+        offsets.append(offsets[-1] + len(e))
+    return [tuple(offsets[e] + pos for pos, e in vs) for vs in slots]
+
+
 def build_structure(h, assignment, max_entries=None):
     """Structure tensor of order |V|: edge tensors merged vertex by vertex.
 
-    Vertices touched by no edge get dimension 1. ``max_entries`` optionally
-    guards against combinatorial blowup of the sparse product by raising
+    The tensor product of the edge tensors, grouped into one block of slots
+    per vertex. Each vertex touched by no edge gets one extra factor of
+    dimension 1 holding 1, so it has dimension 1; with no edges at all the
+    product is the unit <1>. ``max_entries`` optionally guards against
+    combinatorial blowup of the sparse product by raising
     StructureTooLarge.
     """
     tensors = resolve_assignment(h, assignment)
     if max_entries is not None and structure_entry_bound(h, assignment) > max_entries:
         raise StructureTooLarge("structure tensor exceeds the entry guard")
-    slots = h.vertex_slots()
-    dims = tuple(
-        math.prod(tensors[e].dims[pos] for pos, e in vs) for vs in slots
-    )
-    domain = tensors[0].domain if tensors else "rational"
-    entries = {}
-    for combo in iterproduct(*(t.sorted_items() for t in tensors)):
-        value = None
-        for _, v in combo:
-            value = v if value is None else value * v
-        if value is None or not value:
-            continue
-        idx = []
-        for v, vs in enumerate(slots):
-            acc = 0
-            for pos, e in vs:
-                acc = acc * tensors[e].dims[pos] + combo[e][0][pos]
-            idx.append(acc)
-        idx = tuple(idx)
-        prev = entries.get(idx)
-        entries[idx] = value if prev is None else prev + value
-    entries = {i: v for i, v in entries.items() if v}
-    return Tensor(dims, entries, domain)
+    domain = tensors[0].domain if tensors else RATIONAL
+    one = scalars.one(domain)
+    blocks = _slot_blocks(h.edges, h.vertex_slots())
+    order = sum(len(e) for e in h.edges)
+    for v, block in enumerate(blocks):
+        if not block:
+            blocks[v] = (order,)
+            order += 1
+            tensors.append(Tensor((1,), {(0,): one}, domain))
+    unit = Tensor((), {(): one}, domain)
+    return group(reduce(tensor_product, tensors, unit), GroupingSpec(blocks))
 
 
 def slot_structure(h, assignment):
@@ -327,21 +332,10 @@ def slot_structure(h, assignment):
     every vertex to be incident to at least one edge.
     """
     tensors = resolve_assignment(h, assignment)
-    slots = h.vertex_slots()
-    if any(not vs for vs in slots):
+    blocks = _slot_blocks(h.edges, h.vertex_slots())
+    if not all(blocks):
         raise ValueError("slot_structure needs every vertex on some edge")
-    full = tensors[0]
-    for t in tensors[1:]:
-        full = tensor_product(full, t)
-    offsets = []
-    acc = 0
-    for t in tensors:
-        offsets.append(acc)
-        acc += t.order
-    blocks = [
-        tuple(offsets[e] + pos for pos, e in vs) for vs in slots
-    ]
-    return full, GroupingSpec(blocks)
+    return reduce(tensor_product, tensors), GroupingSpec(blocks)
 
 
 @dataclass(frozen=True)
@@ -373,17 +367,9 @@ def fold(h, grouping_map):
         edges.append(image)
     folded = Hypergraph(grouping_map.n_targets, edges, uniformity=h.uniformity)
 
-    offsets = []
-    acc = 0
-    for e in h.edges:
-        offsets.append(acc)
-        acc += len(e)
-    target_slots = folded.vertex_slots()
-    if any(not vs for vs in target_slots):
+    blocks = _slot_blocks(h.edges, folded.vertex_slots())
+    if not all(blocks):
         raise ValueError("folded hypergraph has an isolated vertex")
-    blocks = [
-        tuple(offsets[e] + pos for pos, e in vs) for vs in target_slots
-    ]
     return FoldResult(folded, GroupingSpec(blocks))
 
 

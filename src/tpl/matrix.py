@@ -9,12 +9,28 @@ relative threshold. Rank over the eps domain is rejected.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import scalars
 from .scalars import EPS, FLOAT, RATIONAL, QC, _common_denominator, _qc
 
 DEFAULT_FLOAT_RANK_TOL = 1e-9
+
+# Largest dense array, in entries, that ``to_numpy`` builds; lattice
+# constructions apply the same bound to the dense size of a structure.
+DENSE_ENTRY_GUARD = 10**6
+
+
+class StructureTooLarge(ValueError):
+    """Desk-scale guard: the requested finite structure will not fit."""
+
+
+def check_dense_size(shape, what="dense array"):
+    """Raise StructureTooLarge when a dense array of ``shape`` exceeds the guard."""
+    size = math.prod(shape)
+    if size > DENSE_ENTRY_GUARD:
+        raise StructureTooLarge(
+            f"{what} of shape {tuple(shape)} has {size} entries, over {DENSE_ENTRY_GUARD}"
+        )
 
 
 class Matrix:
@@ -211,6 +227,7 @@ class Matrix:
 
         if self.domain == EPS:
             raise ValueError("eps matrices have no numeric form")
+        check_dense_size((self.rows, self.cols))
         a = np.zeros((self.rows, self.cols), dtype=complex)
         for (i, j), v in self.entries.items():
             a[i, j] = scalars.to_float(v)
@@ -278,43 +295,3 @@ def _rank_exact(m):
                 new_rows.append(r)
         rows = new_rows
     return rank_count
-
-
-def solve_exact(a, b):
-    """Solve A x = b exactly over QC for square invertible A.
-
-    ``a`` is a list of row lists, ``b`` a list; raises ValueError when A is
-    singular. Used for Vandermonde systems in interpolation.
-    """
-    n = len(a)
-    aug = [[QC.coerce(v) for v in row] + [QC.coerce(b[i])] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise ValueError("singular system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [vr - f * vc for vr, vc in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
-def inverse_exact(m):
-    """Exact inverse of a rational-domain matrix; ValueError when singular."""
-    if m.domain != RATIONAL or m.rows != m.cols:
-        raise ValueError("inverse requires a square rational matrix")
-    n = m.rows
-    cols = []
-    for j in range(n):
-        e = [QC(Fraction(int(i == j))) for i in range(n)]
-        dense = [[m.get(i, k) for k in range(n)] for i in range(n)]
-        cols.append(solve_exact(dense, e))
-    entries = {}
-    for j, col in enumerate(cols):
-        for i, v in enumerate(col):
-            if v:
-                entries[(i, j)] = v
-    return Matrix(n, n, entries, RATIONAL)

@@ -10,12 +10,13 @@ verified degeneration into a restriction from a small direct sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from . import scalars
-from .matrix import Matrix, rank, solve_exact
+from .matrix import Matrix, rank
 from .named import ghz, w_state
 from .obstructions import hyperdeterminant_222
 from .scalars import EPS, RATIONAL, QC
@@ -100,7 +101,7 @@ def verify_degeneration(t, target, cert):
     if t.domain != RATIONAL or target.domain != RATIONAL:
         raise CertificateError("degeneration verification needs rational endpoints")
     _check_cert_shapes(cert, t, target)
-    image = apply_product_map(list(cert.maps), t.to_eps(), domain=EPS)
+    image = apply_product_map(list(cert.maps), t.to_eps())
     if image.is_zero():
         raise CertificateError("certificate maps annihilate the source tensor")
     degrees = set()
@@ -146,6 +147,17 @@ def interpolate(t, target, degcert):
     return _interpolate(t, target, degcert, d, e)
 
 
+def interpolation_weights(d, e):
+    """Weights w_i of the points x_i = i + 1 (i = 0..e) that extract the eps^d coefficient.
+
+    They satisfy sum_i w_i * x_i^(d+m) = [m == 0] for m = 0..e: the
+    Lagrange basis at 0 over the nodes 1..e+1 is (-1)^i * C(e+1, i+1), and
+    w_i is that divided by x_i^d. Any integer d works, negative (Laurent)
+    included.
+    """
+    return [QC((-1) ** i * math.comb(e + 1, i + 1) / Fraction(i + 1) ** d) for i in range(e + 1)]
+
+
 def _interpolate(t, target, degcert, d, e):
     """Interpolation step of :func:`interpolate` with the degrees (d, e) given.
 
@@ -153,27 +165,18 @@ def _interpolate(t, target, degcert, d, e):
     produce a bad certificate: the result is verified exactly and a
     mismatch raises CertificateError.
     """
-    points = [Fraction(i + 1) for i in range(e + 1)]
-    # Weights w_i with sum_i w_i * x_i^(d+m) = [m == 0] for m = 0..e.
-    vand = [[QC(p ** (d + m)) for p in points] for m in range(e + 1)]
-    rhs = [QC(1)] + [QC(0)] * e
-    weights = solve_exact(vand, rhs)
-    blocks = []
-    for j in range(t.order):
-        evaluated = [degcert.maps[j].eval_eps(p) for p in points]
-        if j == 0:
-            evaluated = [m.scale(w) for m, w in zip(evaluated, weights)]
-        blocks.append(evaluated)
+    weights = interpolation_weights(d, e)
     maps = []
-    for j, evaluated in enumerate(blocks):
-        rows = target.dims[j]
-        cols = t.dims[j] * (e + 1)
+    for j, m in enumerate(degcert.maps):
+        cols = t.dims[j]
         entries = {}
-        for i, m in enumerate(evaluated):
-            off = i * t.dims[j]
-            for (r, c), v in m.entries.items():
-                entries[(r, c + off)] = v
-        maps.append(Matrix(rows, cols, entries, RATIONAL))
+        for i, w in enumerate(weights):
+            block = m.eval_eps(i + 1).entries
+            if j == 0:
+                block = {rc: v * w for rc, v in block.items()}
+            for (r, c), v in block.items():
+                entries[(r, c + i * cols)] = v
+        maps.append(Matrix(target.dims[j], cols * (e + 1), entries, RATIONAL))
     cert = RestrictionCertificate(tuple(maps))
     source = direct_sum_many([t] * (e + 1))
     if not verify_restriction(source, target, cert):

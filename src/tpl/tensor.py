@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from . import scalars
-from .matrix import Matrix
+from .matrix import Matrix, StructureTooLarge, check_dense_size
 from .scalars import EPS, FLOAT, RATIONAL, EpsPoly, _common_denominator, _eps, _qc
 
 
@@ -26,10 +26,6 @@ from .scalars import EPS, FLOAT, RATIONAL, EpsPoly, _common_denominator, _eps, _
 # hundreds of thousands would need ints of megabytes and take seconds per
 # entry to unpack; above the guard the lane raises instead.
 LANE_BITS_GUARD = 2**20
-
-
-class StructureTooLarge(ValueError):
-    """Desk-scale guard: the requested finite structure will not fit."""
 
 
 class GroupingSpec:
@@ -141,6 +137,7 @@ class Tensor:
 
         if self.domain == EPS:
             raise ValueError("eps tensors have no numeric form")
+        check_dense_size(self.dims)
         a = np.zeros(self.dims, dtype=complex)
         for idx, v in self.entries.items():
             a[idx] = scalars.to_float(v)
@@ -308,7 +305,7 @@ def equal_up_to_padding(t, u):
     return strip_padding(t) == strip_padding(u)
 
 
-def apply_product_map(maps, t, domain=None):
+def apply_product_map(maps, t):
     """Apply one linear map per factor: (m_1 (x) ... (x) m_k) t.
 
     ``maps[j]`` must have ``cols == t.dims[j]``; the result has dims given
@@ -325,9 +322,7 @@ def apply_product_map(maps, t, domain=None):
     """
     if len(maps) != t.order:
         raise ValueError(f"{len(maps)} maps for order-{t.order} tensor")
-    domain = domain or t.domain
-    if t.domain != domain:
-        raise ValueError(f"tensor domain {t.domain} != {domain}")
+    domain = t.domain
     for j, m in enumerate(maps):
         if m.cols != t.dims[j]:
             raise ValueError(

@@ -207,7 +207,7 @@ def test_lattice_construction_small_random_property():
         try:
             from tpl.tensor import apply_product_map
 
-            image = apply_product_map(maps, t.to_eps(), domain=EPS)
+            image = apply_product_map(maps, t.to_eps())
         except ValueError:
             continue
         if image.is_zero():
@@ -255,7 +255,7 @@ def random_edge_degenerations(rng, count):
                     if coeffs:
                         entries[(i, j)] = EpsPoly(coeffs)
             maps.append(Matrix(2, 2, entries, EPS))
-        image = apply_product_map(maps, t.to_eps(), domain=EPS)
+        image = apply_product_map(maps, t.to_eps())
         if image.is_zero():
             continue
         degrees = set()

@@ -1,7 +1,11 @@
 import copy
 import os
+import random
+from fractions import Fraction
 
 import pytest
+
+import util
 
 from tpl.catalog import (
     Catalog,
@@ -18,6 +22,7 @@ from tpl.matrix import Matrix
 from tpl.named import NamedTensorSpec, epr, ghz, make_named, w_state
 from tpl.preorder import DegenerationCertificate
 from tpl.scalars import EPS, EpsPoly, QC
+from tpl.tensor import Tensor
 
 def w_border_cert():
     c, e = EpsPoly.const, EpsPoly.eps
@@ -61,6 +66,57 @@ def test_term_tensor_outer_product():
 def test_decomposition_of_w_verifies():
     total = decomposition_tensor((2, 2, 2), w_rank3_terms())
     assert total == w_state()
+
+
+def random_vector(rng, n, gaussian):
+    if rng.random() < 0.15:
+        return [QC(0)] * n
+    return [QC(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5))), rng.randint(-2, 2) if gaussian else 0)
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["rational", "gaussian"])
+def test_decomposition_tensor_matches_termwise_oracle(gaussian):
+    rng = random.Random(20261018 + gaussian)
+    for _ in range(60):
+        dims = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
+        terms = [[random_vector(rng, d, gaussian) for d in dims] for _ in range(rng.randint(0, 5))]
+        if terms and rng.random() < 0.5:
+            # A term and its negation (first vector negated) cancel.
+            twin = copy.deepcopy(rng.choice(terms))
+            twin[0] = [-c for c in twin[0]]
+            terms.insert(rng.randint(0, len(terms)), twin)
+        assert decomposition_tensor(dims, terms) == util.decomposition_ref(dims, terms)
+
+
+def test_decomposition_tensor_edge_cases():
+    assert decomposition_tensor((2, 3), []) == Tensor((2, 3), {})
+    term = [[QC(1), QC(0, 2)], [QC(3), QC(0)]]
+    negated = [[QC(-1), QC(0, -2)], [QC(3), QC(0)]]
+    assert decomposition_tensor((2, 2), [term, negated]).is_zero()
+    assert decomposition_tensor((2, 2), [[[QC(0)] * 2, [QC(1)] * 2]]).is_zero()
+    assert decomposition_tensor((2, 2), [term]).entries == {(0, 0): QC(3), (1, 0): QC(0, 6)}
+    with pytest.raises(CatalogError):
+        decomposition_tensor((), [[], []])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [[QC(1), QC(0)], [QC(1), QC(0)]],
+        [[QC(1), QC(0)], [QC(1), QC(0)], [QC(1)]],
+        [[QC(1), QC(0)], [QC(1), QC(0), QC(0)], [QC(1), QC(0)]],
+        [[QC(1), QC(0)], [QC(1), QC(0)], [QC(1), QC(0)], [QC(1), QC(0)]],
+    ],
+    ids=["two-factors", "short", "long", "four-factors"],
+)
+def test_decomposition_bad_term_lengths_write_nothing(tmp_path, bad):
+    with pytest.raises(CatalogError):
+        decomposition_tensor((2, 2, 2), [bad])
+    cat = Catalog(tmp_path)
+    with pytest.raises(CatalogError):
+        cat.put(CatalogEntry(id="w-bad", tensor=w_state(), decomposition=w_rank3_terms() + [bad]))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_entry_accepts_and_rejects():

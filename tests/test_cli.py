@@ -537,3 +537,12 @@ def test_cert_verify_huge_degree_span_exits_one(capsys, ghz2_path, w_path, tmp_p
     code, out, err = run(capsys, ["cert-verify", "--src", ghz2_path, "--dst", w_path, "--cert", str(path)])
     assert (code, out) == (1, "")
     assert err.startswith("tpl: ") and "exceed" in err
+
+
+def test_obstruct_dense_guard_exits_one(capsys, tmp_path):
+    # The float SVD would need a 10^8 x 10^8 dense flattening.
+    path = tmp_path / "huge.json"
+    path.write_text(jsonio.dumps_pretty(jsonio.tensor_to_json(Tensor((10**8, 10**8, 1), {(0, 0, 0): QC(1)}))))
+    code, out, err = run(capsys, ["obstruct", "--tensor", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("tpl: ") and "dense" in err

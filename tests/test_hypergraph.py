@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -16,7 +18,8 @@ from tpl.hypergraph import (
     structure_dims,
 )
 from tpl.named import epr, ghz, mamu, w_state
-from tpl.tensor import group, kron_power
+from tpl.scalars import QC
+from tpl.tensor import Tensor, group, kron_power
 
 
 def test_hypergraph_validation():
@@ -96,6 +99,38 @@ def test_build_structure_untouched_vertex_gets_dim_one():
     t = ghz(2, 2)
     s = build_structure(h, t)
     assert s.dims == (2, 2, 1)
+
+
+def test_build_structure_without_edges_is_the_unit():
+    # The empty tensor product is the unit <1>: entry 1 at the origin.
+    assert build_structure(Hypergraph(2, []), []) == Tensor((1, 1), {(0, 0): QC(1)})
+    assert build_structure(Hypergraph(0, []), []) == Tensor((), {(): QC(1)})
+
+
+def random_edge_tensor(rng, order, gaussian):
+    dims = tuple(rng.choice((1, 2, 2, 3)) for _ in range(order))
+    entries = {}
+    for idx in product(*map(range, dims)):
+        if rng.random() < 0.6:
+            re = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+            im = Fraction(rng.randint(-4, 4), rng.choice((1, 2))) if gaussian else 0
+            entries[idx] = QC(re, im)
+    return Tensor(dims, entries)
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["rational", "gaussian"])
+def test_build_structure_matches_entry_combination_oracle(gaussian):
+    rng = random.Random(20261018 + gaussian)
+    hypergraphs = [make_family(f, n) for f in ("Disjoint", "Strassen", "Triangular", "Kagome", "Fan")
+                   for n in range(1, 5)]
+    # Isolated vertices first, in the middle and last.
+    hypergraphs += [Hypergraph(5, [(1, 2, 3), (3, 4, 2)]), Hypergraph(4, [(1, 3), (3, 1)]),
+                    Hypergraph(3, [(0, 1)])]
+    for h in hypergraphs:
+        tensors = [random_edge_tensor(rng, len(e), gaussian) for e in h.edges]
+        assert build_structure(h, tensors) == util.structure_ref(h, tensors), h
+        shared = random_edge_tensor(rng, len(h.edges[0]), gaussian)
+        assert build_structure(h, shared) == util.structure_ref(h, shared), h
 
 
 def test_build_structure_arity_mismatch():

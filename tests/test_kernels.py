@@ -239,7 +239,7 @@ def test_lane_drops_values_that_fold_to_zero():
     m = Matrix(1, 2, {(0, 0): QC(0, 1), (0, 1): QC(1)})
     assert apply_product_map([m], t).is_zero()
     eps_m = Matrix(1, 2, {(0, 0): EpsPoly({-2: QC(0, 1), 3: QC(1)}), (0, 1): EpsPoly({-2: QC(1)})}, EPS)
-    out = apply_product_map([eps_m], t.to_eps(), EPS)
+    out = apply_product_map([eps_m], t.to_eps())
     assert out == util.apply_product_map_kfold([eps_m], t.to_eps(), EPS)
     assert out.entries == {(0,): EpsPoly({3: QC(0, 1)})}
 
@@ -247,11 +247,11 @@ def test_lane_drops_values_that_fold_to_zero():
 def test_lane_rejects_mismatched_domains():
     eps_t = Tensor((1,), {(0,): EpsPoly.eps(1)}, EPS)
     with pytest.raises(ValueError):
-        apply_product_map([Matrix.identity(1)], eps_t, RATIONAL)
+        apply_product_map([Matrix.identity(1)], eps_t)
     with pytest.raises(ValueError):
-        apply_product_map([Matrix.identity(1).to_eps()], Tensor((1,), {(0,): QC(1)}), EPS)
+        apply_product_map([Matrix.identity(1).to_eps()], Tensor((1,), {(0,): QC(1)}))
     with pytest.raises(ValueError):
-        apply_product_map([Matrix(1, 1, {(0, 0): 1j}, FLOAT)], Tensor((1,), {(0,): QC(1)}), FLOAT)
+        apply_product_map([Matrix(1, 1, {(0, 0): 1j}, FLOAT)], Tensor((1,), {(0,): QC(1)}))
 
 
 def termwise(p, x):

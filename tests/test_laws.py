@@ -86,7 +86,7 @@ def degenerations(draw):
 @given(degenerations())
 def test_interpolation_is_sound(case):
     t, maps = case
-    image = apply_product_map(list(maps), t.to_eps(), domain=EPS)
+    image = apply_product_map(list(maps), t.to_eps())
     assume(not image.is_zero())
     degrees = {deg for p in image.entries.values() for deg in p.coeffs}
     d, e = min(degrees), max(degrees) - min(degrees)

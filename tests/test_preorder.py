@@ -16,6 +16,7 @@ from tpl.preorder import (
     decide_222,
     identity_certificate,
     interpolate,
+    interpolation_weights,
     rank_222,
     representative_222,
     subrank_222,
@@ -164,7 +165,7 @@ def test_interpolation_property_randomized():
             _random_eps_matrix(rng, od, d, max_deg=1) for od, d in zip(out_dims, dims)
         )
         cert = DegenerationCertificate(maps)
-        image = apply_product_map(list(maps), t.to_eps(), domain=EPS)
+        image = apply_product_map(list(maps), t.to_eps())
         if image.is_zero():
             continue
         degrees = set()
@@ -239,3 +240,14 @@ def test_w_rank_three_witnessed():
     assert verify_restriction(ghz(3), w_state(), cert)
     # Lower: GHZ_2 does not restrict to W, so the rank exceeds 2.
     assert decide_222(ghz(2), w_state(), "restriction") is False
+
+
+def test_interpolation_weights_satisfy_the_moment_identity():
+    # sum_i w_i * x_i^(d+m) = [m == 0] at x_i = i + 1, summed over Fractions.
+    for d in range(-3, 9):
+        for e in range(13):
+            weights = interpolation_weights(d, e)
+            assert len(weights) == e + 1 and not any(w.im for w in weights)
+            for m in range(e + 1):
+                total = sum(w.re * Fraction(i + 1) ** (d + m) for i, w in enumerate(weights))
+                assert total == (m == 0), (d, e, m)

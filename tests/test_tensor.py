@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import util
-from tpl.matrix import Matrix, rank
+from tpl.matrix import DENSE_ENTRY_GUARD, Matrix, StructureTooLarge, check_dense_size, rank
 from tpl.named import cw, epr, ghz, mamu, simple, w_state
 from tpl.scalars import FLOAT, QC
 from tpl.tensor import (
@@ -272,3 +272,18 @@ def test_cw_flattening_ranks():
         t = cw(q)
         for j in range(3):
             assert rank(flatten(t, {j})) == q + 1
+
+
+def test_to_numpy_guard_raises_before_allocating():
+    # 10^16 entries: no host could allocate the dense array.
+    t = Tensor((10**8, 10**8, 1), {(0, 0, 0): QC(1)})
+    with pytest.raises(StructureTooLarge):
+        t.to_numpy()
+    with pytest.raises(StructureTooLarge):
+        flatten(t, {0}).to_numpy()
+    with pytest.raises(StructureTooLarge):
+        Matrix(10**8, 10**8, {(0, 0): 1j}, FLOAT).to_numpy()
+    check_dense_size((DENSE_ENTRY_GUARD,))
+    check_dense_size((10**3, 10**3, 1))
+    with pytest.raises(StructureTooLarge):
+        check_dense_size((DENSE_ENTRY_GUARD + 1,))

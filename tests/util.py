@@ -6,15 +6,21 @@ of the sparse index packing. :class:`RefQC` keeps a Gaussian rational as a
 pair of Fractions, independent of the integer-packed ``QC``, and
 :func:`apply_product_map_kfold` expands every input entry through the full
 k-fold product of map columns, independent of the mode-wise contraction.
+:func:`structure_ref` multiplies every combination of edge entries and
+packs each vertex index by hand, independent of the grouped tensor
+product; :func:`decomposition_ref` sums each term's outer product over
+every index, independent of the restriction from the unit tensor.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 
+from tpl.hypergraph import resolve_assignment
 from tpl.matrix import Matrix
 from tpl.scalars import QC, RATIONAL
 from tpl.tensor import Tensor
@@ -140,3 +146,40 @@ def apply_product_map_kfold(maps, t, domain=None):
             s = acc.get(out_idx)
             acc[out_idx] = w if s is None else s + w
     return Tensor(tuple(m.rows for m in maps), {i: v for i, v in acc.items() if v}, domain)
+
+
+def structure_ref(h, assignment):
+    """Structure tensor by the product over all combinations of edge entries."""
+    tensors = resolve_assignment(h, assignment)
+    slots = h.vertex_slots()
+    dims = tuple(math.prod(tensors[e].dims[pos] for pos, e in vs) for vs in slots)
+    domain = tensors[0].domain if tensors else RATIONAL
+    entries = {}
+    for combo in product(*(t.sorted_items() for t in tensors)):
+        value = None
+        for _, v in combo:
+            value = v if value is None else value * v
+        if value is None or not value:
+            continue
+        idx = []
+        for vs in slots:
+            acc = 0
+            for pos, e in vs:
+                acc = acc * tensors[e].dims[pos] + combo[e][0][pos]
+            idx.append(acc)
+        idx = tuple(idx)
+        prev = entries.get(idx)
+        entries[idx] = value if prev is None else prev + value
+    return Tensor(dims, {i: v for i, v in entries.items() if v}, domain)
+
+
+def decomposition_ref(dims, terms):
+    """Sum over the terms of the outer product of their vectors, index by index."""
+    acc = {}
+    for term in terms:
+        for idx in product(*(range(d) for d in dims)):
+            v = QC(1)
+            for vec, i in zip(term, idx):
+                v = v * vec[i]
+            acc[idx] = acc.get(idx, QC(0)) + v
+    return Tensor(dims, {i: v for i, v in acc.items() if v}, RATIONAL)
