@@ -23,7 +23,7 @@ from .preorder import (
     _interpolate,
     verify_degeneration,
 )
-from .tensor import equal_up_to_padding, kron_power, strip_padding
+from .tensor import equal_up_to_padding, kron, strip_padding
 
 MATRIX_SIDE_GUARD = 10**5
 
@@ -176,7 +176,9 @@ def strassen_rank_bounds(t, n_max=2, catalog=None):
 
     Lower: the largest gauge point (flattening ranks are multiplicative under
     the Kronecker product and monotone under restriction). Upper: n-th roots
-    of verified catalog decompositions of the n-th Kronecker powers.
+    of verified catalog decompositions of the n-th Kronecker powers. The
+    powers stop early once nnz(t)^n, the entry count of the n-th power of
+    an exact tensor, exceeds that of every decomposed catalog tensor.
     """
     catalog = catalog or Catalog.default()
     gauges = gauge_points(t)
@@ -190,13 +192,15 @@ def strassen_rank_bounds(t, n_max=2, catalog=None):
     if r is not None:
         upper = Bound(Fraction(r), "unit tensor of size r", {"kind": "unit", "r": r})
         table.append({"n": 1, "terms": r, "bound": float(r)})
-    entries = [catalog.get(i) for i in catalog.ids()]
-    power = None
+    entries = [entry for entry in catalog.load_all() if entry.decomposition is not None]
+    most = max((entry.tensor.nnz() for entry in entries), default=0)
+    power = t
     for n in range(1, n_max + 1):
-        power = t if n == 1 else kron_power(t, n)
+        if t.nnz() ** n > most:
+            break
+        if n > 1:
+            power = kron(power, t)
         for entry in entries:
-            if entry.decomposition is None:
-                continue
             if not equal_up_to_padding(entry.tensor, power):
                 continue
             terms = len(entry.decomposition)

@@ -1,25 +1,25 @@
 """Command-line front end: JSON in, JSON out, deterministic.
 
-Exit codes: 0 on success (a verified "false" answer is still success and is
-printed as JSON), 1 on verification or data integrity failure (corrupted
-certificates, failing catalog entries, malformed payloads), 2 on usage
-errors. Factor positions on the command line are 0-based, matching the
-index arrays of the JSON formats.
+Exit codes are decided in :func:`main` alone. 0 on success (a verified
+"false" answer is still success and is printed as JSON). 1 on any typed
+error of the library, each a ``ValueError``: a failed verification, a
+corrupted certificate or catalog entry, a malformed payload or an input file
+that is not UTF-8, an operation undefined for its input, or a size guard.
+2 on usage errors (:class:`UsageError`): a bad flag value, a missing flag,
+or a path that cannot be read or written. Factor positions on the command
+line are 0-based, matching the index arrays of the JSON formats.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from fractions import Fraction
 
 from . import jsonio
-from .asymptotic import (
-    StructureTooLarge,
-    disjoint_rank_bounds,
-    strassen_rank_bounds,
-)
-from .catalog import Catalog, CatalogError, entry_from_json, entry_to_json
+from .asymptotic import disjoint_rank_bounds, strassen_rank_bounds
+from .catalog import Catalog, entry_from_json, entry_to_json
 from .hypergraph import build_structure, fold_to_fan, make_family
 from .jsonio import FormatError
 from .matrix import rank
@@ -61,49 +61,47 @@ VERIFY_ERROR = 1
 NO_EFFECT = "accepted and ignored: nothing is sampled"
 
 
-class CliError(Exception):
-    def __init__(self, message, code=VERIFY_ERROR):
-        super().__init__(message)
-        self.code = code
+class UsageError(Exception):
+    """A bad command line; :func:`main` exits 2."""
 
 
 def _read_json_input(path):
     if path is None or path == "-":
-        data = sys.stdin.read()
-        import json
-
         try:
-            return json.loads(data)
+            return json.loads(sys.stdin.read())
         except json.JSONDecodeError as exc:
-            raise CliError(f"stdin: {exc}") from exc
+            raise FormatError(f"stdin: {exc}") from exc
     try:
         return jsonio.load_path(path)
-    except FileNotFoundError as exc:
-        raise CliError(f"no such file: {path}", USAGE_ERROR) from exc
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def _read(path, parse, what):
+    obj = _read_json_input(path)
+    try:
+        return parse(obj)
     except FormatError as exc:
-        raise CliError(str(exc)) from exc
+        raise FormatError(f"bad {what}: {exc}") from exc
 
 
 def _read_tensor(path):
-    try:
-        return jsonio.tensor_from_json(_read_json_input(path))
-    except FormatError as exc:
-        raise CliError(f"bad tensor: {exc}") from exc
+    return _read(path, jsonio.tensor_from_json, "tensor")
 
 
 def _read_certificate(path):
-    try:
-        return jsonio.certificate_from_json(_read_json_input(path))
-    except FormatError as exc:
-        raise CliError(f"bad certificate: {exc}") from exc
+    return _read(path, jsonio.certificate_from_json, "certificate")
 
 
 def _write_output(text, out_path):
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out_path}: {exc.strerror}") from exc
 
 
 def _group(t, text):
@@ -112,7 +110,7 @@ def _group(t, text):
         blocks = [tuple(int(x) for x in blk.split(",") if x != "") for blk in text.split("|")]
         return group(t, GroupingSpec(blocks))
     except ValueError as exc:
-        raise CliError(f"bad grouping spec {text!r}: {exc}", USAGE_ERROR) from exc
+        raise UsageError(f"bad grouping spec {text!r}: {exc}") from exc
 
 
 def _parse_theta(text, order):
@@ -122,9 +120,9 @@ def _parse_theta(text, order):
         weights = tuple(parse_fraction(part.strip()) for part in text.split(","))
         theta = ThetaWeights(weights)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"bad theta {text!r}: {exc}", USAGE_ERROR) from exc
+        raise UsageError(f"bad theta {text!r}: {exc}") from exc
     if len(weights) != order:
-        raise CliError(f"bad theta {text!r}: {len(weights)} weights for order-{order} tensor", USAGE_ERROR)
+        raise UsageError(f"bad theta {text!r}: {len(weights)} weights for order-{order} tensor")
     return theta
 
 
@@ -133,7 +131,7 @@ def _flatten_left(t, text):
     try:
         return flatten(t, {int(x) for x in text.split(",")})
     except ValueError as exc:
-        raise CliError(f"bad --left {text!r}: {exc}", USAGE_ERROR) from exc
+        raise UsageError(f"bad --left {text!r}: {exc}") from exc
 
 
 def _catalog(args):
@@ -154,18 +152,13 @@ def cmd_build(args):
     try:
         t = make_named(NamedTensorSpec(args.name, params))
     except (KeyError, ValueError) as exc:
-        raise CliError(f"cannot build {args.name}: {exc}", USAGE_ERROR) from exc
+        raise UsageError(f"cannot build {args.name}: {exc}") from exc
     _write_output(jsonio.dumps_pretty(jsonio.tensor_to_json(t)), args.out)
     return 0
 
 
 def cmd_classify(args):
-    t = _read_tensor(args.tensor)
-    try:
-        cls = classify_222(t)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    _write_output(cls.value + "\n", args.out)
+    _write_output(classify_222(_read_tensor(args.tensor)).value + "\n", args.out)
     return 0
 
 
@@ -173,21 +166,17 @@ def cmd_op(args):
     name = args.operation
     combiners = {"direct-sum": direct_sum, "kron": kron, "tensor-product": tensor_product}
     if name in combiners:
-        src, dst = _read_tensor(args.src), _read_tensor(args.dst)
-        try:
-            result = combiners[name](src, dst)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        result = combiners[name](_read_tensor(args.src), _read_tensor(args.dst))
         if name == "tensor-product" and args.group:
             result = _group(result, args.group)
     elif name == "group":
         if args.group is None:
-            raise CliError("op group needs --group", USAGE_ERROR)
+            raise UsageError("op group needs --group")
         result = _group(_read_tensor(args.tensor), args.group)
     elif name == "flatten":
         t = _read_tensor(args.tensor)
         if args.left is None:
-            raise CliError("op flatten needs --left", USAGE_ERROR)
+            raise UsageError("op flatten needs --left")
         m = _flatten_left(t, args.left)
         _write_output(jsonio.dumps_pretty(jsonio.matrix_to_json(m)), args.out)
         return 0
@@ -196,13 +185,11 @@ def cmd_op(args):
         value = rank(_flatten_left(t, args.left or "0"), tol=args.tol)
         _write_output(jsonio.dumps_compact({"rank": value}), args.out)
         return 0
-    elif name == "equal-pad":
+    else:  # equal-pad
         a = _read_tensor(args.src)
         b = _read_tensor(args.dst)
         _write_output(jsonio.dumps_compact({"equal": equal_up_to_padding(a, b)}), args.out)
         return 0
-    else:
-        raise CliError(f"unknown operation {name!r}", USAGE_ERROR)
     _write_output(jsonio.dumps_pretty(jsonio.tensor_to_json(result)), args.out)
     return 0
 
@@ -219,7 +206,7 @@ def cmd_cert_verify(args):
             ok, d, e = verify_degeneration(src, dst, cert)
             _write_output(jsonio.dumps_compact({"ok": ok, "d": d, "e": e}), args.out)
     except CertificateError as exc:
-        raise CliError(f"broken certificate: {exc}") from exc
+        raise CertificateError(f"broken certificate: {exc}") from exc
     return 0
 
 
@@ -228,22 +215,14 @@ def cmd_cert_interpolate(args):
     dst = _read_tensor(args.dst)
     cert = _read_certificate(args.cert)
     if not isinstance(cert, DegenerationCertificate):
-        raise CliError("interpolation needs a degeneration certificate")
-    try:
-        out_cert = interpolate(src, dst, cert)
-    except CertificateError as exc:
-        raise CliError(str(exc)) from exc
+        raise CertificateError("interpolation needs a degeneration certificate")
+    out_cert = interpolate(src, dst, cert)
     _write_output(jsonio.dumps_pretty(jsonio.certificate_to_json(out_cert)), args.out)
     return 0
 
 
 def cmd_decide(args):
-    a = _read_tensor(args.src)
-    b = _read_tensor(args.dst)
-    try:
-        answer = decide_222(a, b, args.mode)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    answer = decide_222(_read_tensor(args.src), _read_tensor(args.dst), args.mode)
     _write_output(jsonio.dumps_compact({"mode": args.mode, "result": answer}), args.out)
     return 0
 
@@ -251,11 +230,7 @@ def cmd_decide(args):
 def cmd_obstruct(args):
     t = _read_tensor(args.tensor)
     theta = _parse_theta(args.theta, t.order)
-    try:
-        report = _obstruct_report(t, args.p, theta)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    _write_output(jsonio.dumps_pretty(report), args.out)
+    _write_output(jsonio.dumps_pretty(_obstruct_report(t, args.p, theta)), args.out)
     return 0
 
 
@@ -275,7 +250,7 @@ def _obstruct_report(t, p, theta):
         try:
             spec = KoszulSpec(t.dims[2], p)
         except ValueError as exc:
-            raise CliError(f"bad Koszul parameter --p: {exc}", USAGE_ERROR) from exc
+            raise UsageError(f"bad Koszul parameter --p: {exc}") from exc
         num = rank(koszul_flatten(t, spec))
         ratio = Fraction(num, max_simple_koszul_rank(spec))
         report["koszul"] = {"p": p, "rank": num, "ratio": f"{ratio.numerator}/{ratio.denominator}"}
@@ -290,18 +265,13 @@ def _obstruct_report(t, p, theta):
 
 def cmd_bounds(args):
     if args.n is not None and args.n < 1:
-        raise CliError(f"bad --n {args.n}: need n >= 1", USAGE_ERROR)
+        raise UsageError(f"bad --n {args.n}: need n >= 1")
     t = _read_tensor(args.tensor)
     catalog = _catalog(args)
-    try:
-        if args.quantity == "disjoint":
-            report = disjoint_rank_bounds(t, catalog, trials=args.trials, seed=args.seed)
-        elif args.quantity == "strassen":
-            report = strassen_rank_bounds(t, n_max=2 if args.n is None else args.n, catalog=catalog)
-        else:
-            raise CliError(f"unknown quantity {args.quantity!r}", USAGE_ERROR)
-    except CatalogError as exc:
-        raise CliError(str(exc)) from exc
+    if args.quantity == "disjoint":
+        report = disjoint_rank_bounds(t, catalog, trials=args.trials, seed=args.seed)
+    else:
+        report = strassen_rank_bounds(t, n_max=2 if args.n is None else args.n, catalog=catalog)
     obj = report.to_json()
     if args.format == "table":
         _write_output(render_report(obj), args.out)
@@ -312,10 +282,7 @@ def cmd_bounds(args):
 
 def cmd_hypergraph(args):
     if args.fold_fan:
-        try:
-            gm, covering = fold_to_fan(args.family, args.n)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        gm, covering = fold_to_fan(args.family, args.n)
         obj = jsonio.grouping_map_to_json(gm)
         obj["c"] = covering
         _write_output(jsonio.dumps_pretty(obj), args.out)
@@ -323,10 +290,9 @@ def cmd_hypergraph(args):
     try:
         h = make_family(args.family, args.n, args.k or 3)
     except ValueError as exc:
-        raise CliError(str(exc), USAGE_ERROR) from exc
+        raise UsageError(str(exc)) from exc
     if args.tensor:
-        t = _read_tensor(args.tensor)
-        structure = build_structure(h, t, max_entries=10**6)
+        structure = build_structure(h, _read_tensor(args.tensor))
         _write_output(jsonio.dumps_pretty(jsonio.tensor_to_json(structure)), args.out)
         return 0
     _write_output(jsonio.dumps_pretty(jsonio.hypergraph_to_json(h)), args.out)
@@ -335,27 +301,22 @@ def cmd_hypergraph(args):
 
 def cmd_catalog(args):
     catalog = _catalog(args)
-    try:
-        if args.action == "list":
-            _write_output(jsonio.dumps_pretty({"entries": catalog.ids()}), args.out)
-        elif args.action == "get":
-            if not args.id:
-                raise CliError("catalog get needs --id", USAGE_ERROR)
-            entry = catalog.get(args.id)
-            _write_output(jsonio.dumps_pretty(entry_to_json(entry)), args.out)
-        elif args.action == "put":
-            if not args.file:
-                raise CliError("catalog put needs --file", USAGE_ERROR)
-            entry = entry_from_json(_read_json_input(args.file))
-            catalog.put(entry)
-            _write_output(jsonio.dumps_compact({"stored": entry.id}), args.out)
-        elif args.action == "verify":
-            entries = catalog.load_all()
-            _write_output(jsonio.dumps_compact({"ok": True, "entries": len(entries)}), args.out)
-        else:
-            raise CliError(f"unknown catalog action {args.action!r}", USAGE_ERROR)
-    except CatalogError as exc:
-        raise CliError(str(exc)) from exc
+    if args.action == "list":
+        _write_output(jsonio.dumps_pretty({"entries": catalog.ids()}), args.out)
+    elif args.action == "get":
+        if not args.id:
+            raise UsageError("catalog get needs --id")
+        entry = catalog.get(args.id)
+        _write_output(jsonio.dumps_pretty(entry_to_json(entry)), args.out)
+    elif args.action == "put":
+        if not args.file:
+            raise UsageError("catalog put needs --file")
+        entry = entry_from_json(_read_json_input(args.file))
+        catalog.put(entry)
+        _write_output(jsonio.dumps_compact({"stored": entry.id}), args.out)
+    else:  # verify
+        entries = catalog.load_all()
+        _write_output(jsonio.dumps_compact({"ok": True, "entries": len(entries)}), args.out)
     return 0
 
 
@@ -486,14 +447,13 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except CliError as exc:
+    except UsageError as exc:
         print(f"tpl: {exc}", file=sys.stderr)
-        return exc.code
-    except (FormatError, CertificateError, CatalogError, StructureTooLarge) as exc:
+        return USAGE_ERROR
+    except ValueError as exc:
         print(f"tpl: {exc}", file=sys.stderr)
         return VERIFY_ERROR
     except BrokenPipeError:

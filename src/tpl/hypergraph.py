@@ -28,8 +28,9 @@ from dataclasses import dataclass
 from functools import reduce
 
 from . import scalars
+from .matrix import DENSE_ENTRY_GUARD, StructureTooLarge
 from .scalars import RATIONAL
-from .tensor import GroupingSpec, StructureTooLarge, Tensor, group, tensor_product
+from .tensor import GroupingSpec, Tensor, group, tensor_product
 
 FAMILIES = ("Disjoint", "Strassen", "Triangular", "Kagome", "Fan")
 
@@ -176,21 +177,18 @@ def _tri_star_centers(count):
     return centers
 
 
-def _faces_to_hypergraph(faces):
-    """Order each face (blue, yellow, red) and number vertices by first use."""
+def _rainbow(face):
+    """The face ordered (blue, yellow, red)."""
+    by_color = sorted(face, key=_tri_color)
+    if [_tri_color(p) for p in by_color] != [0, 1, 2]:
+        raise AssertionError(f"face {face} is not rainbow colored")
+    return by_color
+
+
+def _number_by_first_use(faces):
+    """3-uniform hypergraph of the faces, vertices numbered in order of first use."""
     ids = {}
-    edges = []
-    for face in faces:
-        by_color = sorted(face, key=_tri_color)
-        colors = [_tri_color(p) for p in by_color]
-        if colors != [0, 1, 2]:
-            raise AssertionError(f"face {face} is not rainbow colored")
-        edge = []
-        for p in by_color:
-            if p not in ids:
-                ids[p] = len(ids)
-            edge.append(ids[p])
-        edges.append(tuple(edge))
+    edges = [tuple(ids.setdefault(p, len(ids)) for p in face) for face in faces]
     return Hypergraph(len(ids), edges, uniformity=3)
 
 
@@ -199,7 +197,7 @@ def _triangular_patch(n):
     faces = []
     for cx, cy in _tri_star_centers(n_stars):
         faces.extend(_tri_star_faces(cx, cy))
-    return _faces_to_hypergraph(faces[:n])
+    return _number_by_first_use(_rainbow(face) for face in faces[:n])
 
 
 # -- kagome patch -------------------------------------------------------------
@@ -211,16 +209,12 @@ def _triangular_patch(n):
 # 2-face bowties swept row-major.
 
 
-def _kag_mid(kind, x, y):
-    return (kind, x, y)
-
-
 def _kag_face_up(x, y):
-    return (_kag_mid("h", x, y), _kag_mid("v", x, y), _kag_mid("g", x, y))
+    return (("h", x, y), ("v", x, y), ("g", x, y))
 
 
 def _kag_face_down(x, y):
-    return (_kag_mid("h", x, y + 1), _kag_mid("v", x + 1, y), _kag_mid("g", x, y))
+    return (("h", x, y + 1), ("v", x + 1, y), ("g", x, y))
 
 
 def _kagome_patch(n):
@@ -231,17 +225,7 @@ def _kagome_patch(n):
         y, x = divmod(i, width)
         faces.append(_kag_face_up(x, y))
         faces.append(_kag_face_down(x, y))
-    faces = faces[:n]
-    ids = {}
-    edges = []
-    for face in faces:
-        edge = []
-        for p in face:
-            if p not in ids:
-                ids[p] = len(ids)
-            edge.append(ids[p])
-        edges.append(tuple(edge))
-    return Hypergraph(len(ids), edges, uniformity=3)
+    return _number_by_first_use(faces[:n])
 
 
 # -- structures ---------------------------------------------------------------
@@ -271,12 +255,6 @@ def resolve_assignment(h, assignment):
     return tensors
 
 
-def structure_entry_bound(h, assignment):
-    """Upper bound on the number of structure entries (product of nnz)."""
-    tensors = resolve_assignment(h, assignment)
-    return math.prod(t.nnz() for t in tensors)
-
-
 def structure_dims(h, assignment):
     """Per-vertex dimensions of the structure tensor."""
     tensors = resolve_assignment(h, assignment)
@@ -298,19 +276,22 @@ def _slot_blocks(edges, slots):
     return [tuple(offsets[e] + pos for pos, e in vs) for vs in slots]
 
 
-def build_structure(h, assignment, max_entries=None):
+def build_structure(h, assignment):
     """Structure tensor of order |V|: edge tensors merged vertex by vertex.
 
     The tensor product of the edge tensors, grouped into one block of slots
     per vertex. Each vertex touched by no edge gets one extra factor of
     dimension 1 holding 1, so it has dimension 1; with no edges at all the
-    product is the unit <1>. ``max_entries`` optionally guards against
-    combinatorial blowup of the sparse product by raising
-    StructureTooLarge.
+    product is the unit <1>. Raises StructureTooLarge, before building
+    anything, when the product of the edge tensors' entry counts exceeds
+    ``DENSE_ENTRY_GUARD``.
     """
     tensors = resolve_assignment(h, assignment)
-    if max_entries is not None and structure_entry_bound(h, assignment) > max_entries:
-        raise StructureTooLarge("structure tensor exceeds the entry guard")
+    entries = math.prod(t.nnz() for t in tensors)
+    if entries > DENSE_ENTRY_GUARD:
+        raise StructureTooLarge(
+            f"structure tensor of {entries} entries exceeds the entry guard {DENSE_ENTRY_GUARD}"
+        )
     domain = tensors[0].domain if tensors else RATIONAL
     one = scalars.one(domain)
     blocks = _slot_blocks(h.edges, h.vertex_slots())

@@ -226,7 +226,7 @@ def load_path(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise FormatError(f"{path}: {exc}") from exc
 
 

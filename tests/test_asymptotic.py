@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from tpl.asymptotic import (
 from tpl.catalog import Catalog
 from tpl.hypergraph import build_structure, make_family
 from tpl.matrix import Matrix, rank
-from tpl.named import ghz, mamu, simple, w_state
+from tpl.named import epr, ghz, mamu, simple, w_state
 from tpl.obstructions import KoszulSpec, koszul_flatten
 from tpl.preorder import (
     DegenerationCertificate,
@@ -106,12 +107,35 @@ def test_strassen_lower_is_max_gauge():
 
 
 def test_monotone_consistency_disjoint_vs_strassen():
-    # never report a Strassen lower bound above a verified Disjoint upper bound
-    for t in (w_state(), ghz(2), ghz(3), simple(3)):
+    # never report a Strassen lower bound above a verified Disjoint upper bound;
+    # the order-2 and order-4 inputs meet an order-3 catalog, and both of their
+    # bounds are 2 (a gauge point below, the unit tensor above)
+    expected = {"epr2": (2, 2), "ghz2-4": (2, 2)}
+    inputs = {
+        "w": w_state(),
+        "ghz2": ghz(2),
+        "ghz3": ghz(3),
+        "simple3": simple(3),
+        "epr2": epr(2),
+        "ghz2-4": ghz(2, 4),
+    }
+    for name, t in inputs.items():
         disjoint = disjoint_rank_bounds(t, Catalog.packaged())
         strassen = strassen_rank_bounds(t, n_max=1, catalog=Catalog.packaged())
         if disjoint.upper and strassen.lower:
             assert strassen.lower.as_float() <= disjoint.upper.as_float() + 1e-12
+        if name in expected:
+            for report in (disjoint, strassen):
+                assert (report.lower.value, report.upper.value) == expected[name]
+                assert (report.lower.witness, report.upper.ref["kind"]) == ("gauge point", "unit")
+
+
+def test_strassen_powers_stop_past_the_catalog():
+    # W^n has 3^n entries; no catalog decomposition has more than 3^2
+    start = time.perf_counter()
+    long = strassen_rank_bounds(w_state(), n_max=12, catalog=Catalog.packaged())
+    assert time.perf_counter() - start < 1.0
+    assert long == strassen_rank_bounds(w_state(), n_max=2, catalog=Catalog.packaged())
 
 
 def test_reports_are_reproducible():

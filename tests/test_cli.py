@@ -8,7 +8,7 @@ from tpl import jsonio
 from tpl.catalog import Catalog
 from tpl.cli import main, render_report
 from tpl.matrix import Matrix
-from tpl.named import ghz, mamu, w_state
+from tpl.named import epr, ghz, mamu, w_state
 from tpl.preorder import DegenerationCertificate, RestrictionCertificate
 from tpl.scalars import EPS, EpsPoly, QC
 from tpl.tensor import Tensor, kron
@@ -35,6 +35,12 @@ def border_cert_path(tmp_path):
     cert = DegenerationCertificate((m, m, m), d=1, e=2)
     path = tmp_path / "w-border.json"
     path.write_text(jsonio.dumps_pretty(jsonio.certificate_to_json(cert)))
+    return str(path)
+
+
+def _tensor_file(tmp_path, name, t):
+    path = tmp_path / name
+    path.write_text(jsonio.dumps_pretty(jsonio.tensor_to_json(t)))
     return str(path)
 
 
@@ -180,10 +186,12 @@ def test_op_round_trip(capsys, w_path, tmp_path):
     assert json.loads(out_text) == {"rank": 4}
 
 
-def test_op_equal_pad(capsys, ghz2_path, w_path):
-    code, out, _ = run(capsys, ["op", "equal-pad", "--src", ghz2_path, "--dst", w_path])
-    assert code == 0
-    assert json.loads(out) == {"equal": False}
+def test_op_equal_pad(capsys, tmp_path, ghz2_path, w_path):
+    epr2_path = _tensor_file(tmp_path, "epr.json", epr(2))
+    for other in (w_path, epr2_path):  # the same order, then order 2
+        code, out, _ = run(capsys, ["op", "equal-pad", "--src", ghz2_path, "--dst", other])
+        assert code == 0
+        assert json.loads(out) == {"equal": False}
 
 
 def test_hypergraph_commands(capsys):
@@ -546,3 +554,49 @@ def test_obstruct_dense_guard_exits_one(capsys, tmp_path):
     code, out, err = run(capsys, ["obstruct", "--tensor", str(path)])
     assert (code, out) == (1, "")
     assert err.startswith("tpl: ") and "dense" in err
+
+
+# Bad but well-formed input: a typed error exits 1, an unreadable or
+# unwritable path exits 2, and neither ends in a traceback.
+BAD_INPUT = {
+    "rank-of-eps": (1, lambda d: ["op", "rank", "--tensor", d["eps"]]),
+    "order-2-edge-tensor": (
+        1,
+        lambda d: ["hypergraph", "--family", "Triangular", "--n", "2", "--tensor", d["epr"]],
+    ),
+    "disjoint-of-eps": (1, lambda d: ["bounds", "disjoint", "--tensor", d["eps"]]),
+    "strassen-of-eps": (1, lambda d: ["bounds", "strassen", "--tensor", d["eps"]]),
+    "not-utf8": (1, lambda d: ["classify", "--tensor", d["latin1"]]),
+    "tensor-is-directory": (2, lambda d: ["classify", "--tensor", d["dir"]]),
+    "out-is-directory": (
+        2,
+        lambda d: ["op", "kron", "--src", d["w"], "--dst", d["w"], "--out", d["dir"]],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+def test_bad_input_exits_with_message(capsys, tmp_path, w_path, case):
+    code, argv = BAD_INPUT[case]
+    (tmp_path / "latin1.json").write_bytes(b'{"order": "\xe9"}')
+    files = {
+        "w": w_path,
+        "eps": _tensor_file(tmp_path, "eps.json", w_state().to_eps()),
+        "epr": _tensor_file(tmp_path, "epr.json", epr(2)),
+        "latin1": str(tmp_path / "latin1.json"),
+        "dir": str(tmp_path),
+    }
+    got, out, err = run(capsys, argv(files))
+    assert (got, out) == (code, "")
+    assert err.startswith("tpl: ")
+
+
+def test_bounds_of_other_orders_exit_zero(capsys, tmp_path):
+    # the packaged catalog holds order-3 tensors only
+    epr2 = _tensor_file(tmp_path, "epr.json", epr(2))
+    ghz24 = _tensor_file(tmp_path, "ghz24.json", ghz(2, 4))
+    for quantity, path in (("disjoint", epr2), ("strassen", ghz24)):
+        code, out, _ = run(capsys, ["bounds", quantity, "--tensor", path])
+        assert code == 0
+        report = json.loads(out)
+        assert (report["lower"]["value"], report["upper"]["value"]) == ("2", "2")

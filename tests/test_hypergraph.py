@@ -17,6 +17,7 @@ from tpl.hypergraph import (
     slot_structure,
     structure_dims,
 )
+from tpl.matrix import StructureTooLarge
 from tpl.named import epr, ghz, mamu, w_state
 from tpl.scalars import QC
 from tpl.tensor import Tensor, group, kron_power
@@ -141,10 +142,15 @@ def test_build_structure_arity_mismatch():
         resolve_assignment(h, [ghz(2)])
 
 
-def test_build_structure_entry_guard():
-    h = make_family("Strassen", 8, 3)
-    with pytest.raises(ValueError):
-        build_structure(h, ghz(3), max_entries=100)
+def test_build_structure_entry_guard(monkeypatch):
+    # 3^13 > 10^6 entries: refused before any product is formed
+    def no_product(*args):
+        raise AssertionError("the guard let the product be built")
+
+    monkeypatch.setattr("tpl.hypergraph.tensor_product", no_product)
+    h = make_family("Strassen", 13, 3)
+    with pytest.raises(StructureTooLarge, match="guard"):
+        build_structure(h, ghz(3))
 
 
 def test_structure_dims():

@@ -215,6 +215,10 @@ def test_equal_up_to_padding_cases():
     zero2 = Tensor((2, 2, 2), {})
     zero3 = Tensor((5, 1, 4), {})
     assert equal_up_to_padding(zero2, zero3)
+    assert not equal_up_to_padding(g2, ghz(2, 2))
+    assert not equal_up_to_padding(zero2, Tensor((2, 2), {}))
+    assert not equal_up_to_padding(g2, g2.to_eps())
+    assert not equal_up_to_padding(g2.to_float(), padded)
 
 
 def test_strip_padding_compacts_in_order():
