@@ -17,12 +17,7 @@ from .hypergraph import StructureTooLarge, build_structure, make_family, structu
 from .matrix import check_dense_size, rank
 from .named import ghz, mamu
 from .obstructions import KoszulSpec, flattening_ratio, gauge_points, koszul_flatten
-from .preorder import (
-    CertificateError,
-    DegenerationCertificate,
-    _interpolate,
-    verify_degeneration,
-)
+from .preorder import CertificateError, _interpolate, verify_degeneration
 from .tensor import equal_up_to_padding, kron, strip_padding
 
 MATRIX_SIDE_GUARD = 10**5
@@ -142,8 +137,7 @@ def disjoint_rank_bounds(t, catalog=None, trials=16, seed=0):
         upper_candidates.append(
             Bound(Fraction(r), "unit tensor of size r", {"kind": "unit", "r": r})
         )
-    for entry_id in catalog.ids():
-        entry = catalog.get(entry_id)
+    for entry in catalog.load_all():
         if not equal_up_to_padding(entry.tensor, t):
             continue
         if entry.degeneration is not None:
@@ -153,7 +147,7 @@ def disjoint_rank_bounds(t, catalog=None, trials=16, seed=0):
                     Bound(
                         Fraction(src),
                         "verified degeneration from a unit tensor (border rank witness)",
-                        {"kind": "certificate", "id": entry_id, "r": src},
+                        {"kind": "certificate", "id": entry.id, "r": src},
                     )
                 )
         if entry.decomposition is not None:
@@ -161,7 +155,7 @@ def disjoint_rank_bounds(t, catalog=None, trials=16, seed=0):
                 Bound(
                     Fraction(len(entry.decomposition)),
                     "verified decomposition (rank witness)",
-                    {"kind": "decomposition", "id": entry_id, "terms": len(entry.decomposition)},
+                    {"kind": "decomposition", "id": entry.id, "terms": len(entry.decomposition)},
                 )
             )
     upper = None
@@ -276,8 +270,7 @@ def lattice_construction(t, other, degcert, family, n):
             factor = degcert.maps[pos]
             m = factor if m is None else m.kron(factor)
         maps.append(m)
-    structure_cert = DegenerationCertificate(tuple(maps), d=d * n, e=e * n)
-    return _interpolate(source, target, structure_cert, d * n, e * n)
+    return _interpolate(source, target, maps, d * n, e * n)
 
 
 def omega_bound(alpha, beta):

@@ -312,7 +312,10 @@ def cmd_catalog(args):
         if not args.file:
             raise UsageError("catalog put needs --file")
         entry = entry_from_json(_read_json_input(args.file))
-        catalog.put(entry)
+        try:
+            catalog.put(entry)
+        except OSError as exc:
+            raise UsageError(f"cannot write {catalog.path}: {exc.strerror}") from exc
         _write_output(jsonio.dumps_compact({"stored": entry.id}), args.out)
     else:  # verify
         entries = catalog.load_all()

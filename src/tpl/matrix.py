@@ -106,14 +106,6 @@ class Matrix:
             col.sort()
         return out
 
-    def transpose(self):
-        return Matrix(
-            self.cols,
-            self.rows,
-            {(j, i): v for (i, j), v in self.entries.items()},
-            self.domain,
-        )
-
     def scale(self, factor):
         factor = scalars.coerce(self.domain, factor)
         if not factor:

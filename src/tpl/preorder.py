@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import scalars
-from .matrix import Matrix, rank
+from .matrix import Matrix, check_dense_size, rank
 from .named import ghz, w_state
 from .obstructions import hyperdeterminant_222
 from .scalars import EPS, RATIONAL, QC
@@ -144,7 +144,7 @@ def interpolate(t, target, degcert):
     ok, d, e = verify_degeneration(t, target, degcert)
     if not ok:
         raise CertificateError("degeneration certificate does not verify; refusing to interpolate")
-    return _interpolate(t, target, degcert, d, e)
+    return _interpolate(t, target, degcert.maps, d, e)
 
 
 def interpolation_weights(d, e):
@@ -158,16 +158,24 @@ def interpolation_weights(d, e):
     return [QC((-1) ** i * math.comb(e + 1, i + 1) / Fraction(i + 1) ** d) for i in range(e + 1)]
 
 
-def _interpolate(t, target, degcert, d, e):
-    """Interpolation step of :func:`interpolate` with the degrees (d, e) given.
+def _interpolate(t, target, eps_maps, d, e):
+    """Interpolation step of :func:`interpolate` with the eps maps and degrees (d, e) given.
 
     The degeneration itself is not expanded again. Wrong degrees cannot
     produce a bad certificate: the result is verified exactly and a
-    mismatch raises CertificateError.
+    mismatch raises CertificateError. Before any map is evaluated, the
+    table that the e + 1 evaluations fill, one Horner step per entry and
+    degree of the map's range (widened to include 0), is held to the dense
+    size guard; an oversized one raises StructureTooLarge.
     """
+    width = 0
+    for m in eps_maps:
+        degrees = [k for p in m.entries.values() for k in p.coeffs] + [0]
+        width += m.nnz() * (max(degrees) - min(degrees) + 1)
+    check_dense_size((e + 1, width), "interpolation evaluation table")
     weights = interpolation_weights(d, e)
     maps = []
-    for j, m in enumerate(degcert.maps):
+    for j, m in enumerate(eps_maps):
         cols = t.dims[j]
         entries = {}
         for i, w in enumerate(weights):

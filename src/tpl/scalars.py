@@ -112,17 +112,10 @@ class QC:
     def __add__(self, other):
         if type(other) is not QC:
             other = QC.coerce(other)
-        n = self._n
-        n2 = other._n
-        if n == n2:
-            a = self._a + other._a
-            b = self._b + other._b
-            if n == 1:
-                return _qc(a, b, 1)
-        else:
-            a = self._a * n2 + other._a * n
-            b = self._b * n2 + other._b * n
-            n *= n2
+        n, n2 = self._n, other._n
+        a = self._a * n2 + other._a * n
+        b = self._b * n2 + other._b * n
+        n *= n2
         g = math.gcd(a, b, n)
         return _qc(a // g, b // g, n // g)
 
@@ -142,12 +135,6 @@ class QC:
             other = QC.coerce(other)
         a1, b1, a2, b2 = self._a, self._b, other._a, other._b
         n = self._n * other._n
-        if b1 == 0 and b2 == 0:
-            a = a1 * a2
-            if n == 1:
-                return _qc(a, 0, 1)
-            g = math.gcd(a, n)
-            return _qc(a // g, 0, n // g)
         a = a1 * a2 - b1 * b2
         b = a1 * b2 + b1 * a2
         g = math.gcd(a, b, n)

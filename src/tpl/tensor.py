@@ -8,7 +8,8 @@ locking.
 Index packing convention: whenever several factor positions are merged
 into one (grouping, flattening, Kronecker products), the merged index is
 the row-major packing of the component indices in the order the block
-lists them. This convention is fixed so that files round-trip bit-exactly.
+lists them; :func:`group` is the one routine here that packs. This
+convention is fixed so that files round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -50,11 +51,6 @@ class GroupingSpec:
         if set(flat) != set(range(n)):
             raise ValueError("grouping blocks must cover positions 0..n-1")
         self.blocks = blocks
-
-    @classmethod
-    def trivial(cls, n):
-        """All singleton blocks: plain tensor product, no merging."""
-        return cls([(i,) for i in range(n)])
 
     @classmethod
     def kron_pairing(cls, k):
@@ -204,8 +200,8 @@ def group(t, spec):
 def tensor_product(t, u, spec=None):
     """Tensor product of t and u, regrouped by ``spec``.
 
-    With the trivial partition (the default) this is the plain product of
-    order k + k'; with :meth:`GroupingSpec.kron_pairing` it is the Kronecker
+    Without a spec (the default) this is the plain product of order
+    k + k'; with :meth:`GroupingSpec.kron_pairing` it is the Kronecker
     product that keeps the order.
     """
     if t.domain != u.domain:
@@ -253,18 +249,8 @@ def flatten(t, left):
     right = [p for p in range(t.order) if p not in left]
     if not right:
         raise ValueError("left set covers all positions; flattening needs both sides")
-    rows = math.prod(t.dims[p] for p in left)
-    cols = math.prod(t.dims[p] for p in right)
-    entries = {}
-    for idx, v in t.entries.items():
-        r = 0
-        for p in left:
-            r = r * t.dims[p] + idx[p]
-        c = 0
-        for p in right:
-            c = c * t.dims[p] + idx[p]
-        entries[(r, c)] = v
-    return Matrix(rows, cols, entries, t.domain)
+    grouped = group(t, GroupingSpec([left, right]))
+    return Matrix(*grouped.dims, grouped.entries, t.domain)
 
 
 def permute_factors(t, perm):
@@ -272,9 +258,7 @@ def permute_factors(t, perm):
     perm = list(perm)
     if sorted(perm) != list(range(t.order)):
         raise ValueError("not a permutation of the factor positions")
-    dims = tuple(t.dims[p] for p in perm)
-    entries = {tuple(idx[p] for p in perm): v for idx, v in t.entries.items()}
-    return _tensor(dims, entries, t.domain)
+    return group(t, GroupingSpec([(p,) for p in perm]))
 
 
 def support_per_factor(t):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import util
+from test_preorder import w_border_cert_with_tail
 from tpl.asymptotic import (
     Bound,
     BoundReport,
@@ -30,7 +31,7 @@ from tpl.preorder import (
     verify_restriction,
 )
 from tpl.scalars import EPS, EpsPoly, QC
-from tpl.tensor import Tensor, apply_product_map, direct_sum_many
+from tpl.tensor import Tensor, apply_product_map, direct_sum_many, kron
 
 
 def w_border_cert():
@@ -84,6 +85,21 @@ def test_disjoint_bounds_simple():
     report = disjoint_rank_bounds(simple(3), Catalog.packaged())
     assert report.lower.value == Fraction(1)
     assert report.upper.value == Fraction(1)
+
+
+@pytest.mark.parametrize(
+    "t, lower, lower_ref, upper_id",
+    [
+        (mamu(2), Fraction(16, 3), {"kind": "koszul", "d3": 4, "p": 1, "ratio": "16/3"}, "strassen-mamu2-rank7"),
+        (kron(w_state(), w_state()), Fraction(4), {"kind": "gauge", "factor": 0}, "w-kron2-rank7"),
+    ],
+    ids=["mamu2", "w-kron-w"],
+)
+def test_disjoint_bounds_from_catalog_decompositions(t, lower, lower_ref, upper_id):
+    report = disjoint_rank_bounds(t, Catalog.packaged())
+    assert (report.lower.value, report.lower.ref) == (lower, lower_ref)
+    assert report.upper.value == Fraction(7)
+    assert report.upper.ref == {"kind": "decomposition", "id": upper_id, "terms": 7}
 
 
 def test_disjoint_bounds_random_dense_has_koszul_lower():
@@ -337,6 +353,19 @@ def test_lattice_construction_guards_and_errors():
         lattice_construction(ghz(2), w_state(), bad, "Triangular", 1)
     with pytest.raises(StructureTooLarge):
         lattice_construction(ghz(2), w_state(), w_border_cert(), "Triangular", 30)
+
+
+def test_lattice_construction_guards_the_evaluation_table(monkeypatch):
+    # One eps^800 entry makes e = 799 on every edge: the structure maps'
+    # evaluation table is refused before any of them is evaluated.
+    cert = w_border_cert_with_tail(800)
+
+    def no_eval(*args):
+        raise AssertionError("the guard let a map be evaluated")
+
+    monkeypatch.setattr(Matrix, "eval_eps", no_eval)
+    with pytest.raises(StructureTooLarge, match="interpolation evaluation table"):
+        lattice_construction(ghz(2), w_state(), cert, "Triangular", 1)
 
 
 def test_omega_bound_values():

@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 
 import pytest
+from test_preorder import w_border_cert_with_tail
 
 from tpl import jsonio
 from tpl.catalog import Catalog
@@ -242,6 +243,30 @@ def test_catalog_put_rejects_corruption(capsys, tmp_path):
         capsys, ["catalog", "put", "--catalog", str(tmp_path / "cat"), "--file", str(bad)]
     )
     assert code == 1
+
+
+def test_catalog_put_into_a_regular_file_exits_two(capsys, tmp_path):
+    not_a_dir = tmp_path / "catalog"
+    not_a_dir.write_text("")
+    entry = Catalog.packaged().path / "w-border2-degeneration.json"
+    code, out, err = run(
+        capsys, ["catalog", "put", "--catalog", str(not_a_dir), "--file", str(entry)]
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("tpl: cannot write")
+
+
+def test_cert_interpolate_refuses_an_oversized_table(capsys, ghz2_path, w_path, tmp_path):
+    # The W border certificate plus eps^100000 at entry (1, 1) of map 0
+    # verifies with e = 99,999; interpolating it is refused up front.
+    path = tmp_path / "tail.json"
+    cert = w_border_cert_with_tail(100000)
+    path.write_text(jsonio.dumps_pretty(jsonio.certificate_to_json(cert)))
+    code, out, err = run(
+        capsys, ["cert-interpolate", "--src", ghz2_path, "--dst", w_path, "--cert", str(path)]
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("tpl: interpolation evaluation table of shape (100000, 400016)")
 
 
 def test_usage_error_exit_two(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import util
-from tpl.matrix import Matrix
+from tpl.matrix import Matrix, StructureTooLarge
 from tpl.named import ghz, w_state
 from tpl.preorder import (
     CertificateError,
@@ -31,6 +31,14 @@ def w_border_cert():
     c, e = EpsPoly.const, EpsPoly.eps
     m = Matrix(2, 2, {(0, 0): c(1), (1, 0): e(1), (0, 1): c(-1)}, EPS)
     return DegenerationCertificate((m, m, m), d=1, e=2)
+
+
+def w_border_cert_with_tail(degree):
+    """The W border certificate plus eps^degree at entry (1, 1) of map 0; e = degree - 1."""
+    cert = w_border_cert()
+    m = cert.maps[0]
+    tail = Matrix(2, 2, {**m.entries, (1, 1): EpsPoly.eps(degree)}, EPS)
+    return DegenerationCertificate((tail, m, m), d=1, e=degree - 1)
 
 
 def epr_12():
@@ -148,6 +156,25 @@ def _random_eps_matrix(rng, rows, cols, max_deg):
             if coeffs:
                 entries[(i, j)] = EpsPoly(coeffs)
     return Matrix(rows, cols, entries, EPS)
+
+
+def test_interpolate_refuses_an_oversized_evaluation_table(monkeypatch):
+    # e = 799: 800 points times (4 entries * 801 degrees + 2 maps * 3 entries * 2 degrees)
+    cert = w_border_cert_with_tail(800)
+    assert verify_degeneration(ghz(2), w_state(), cert) == (True, 1, 799)
+
+    def no_eval(*args):
+        raise AssertionError("the guard let a map be evaluated")
+
+    monkeypatch.setattr(Matrix, "eval_eps", no_eval)
+    with pytest.raises(StructureTooLarge, match=r"evaluation table of shape \(800, 3216\)"):
+        interpolate(ghz(2), w_state(), cert)
+
+
+def test_interpolate_accepts_a_table_under_the_guard():
+    # e = 399: 400 * 1616 = 646,400 entries
+    cert = interpolate(ghz(2), w_state(), w_border_cert_with_tail(400))
+    assert verify_restriction(direct_sum_many([ghz(2)] * 400), w_state(), cert)
 
 
 def test_interpolation_property_randomized():

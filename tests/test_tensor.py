@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
+import numpy as np
 import pytest
 
 import util
@@ -235,6 +237,15 @@ def test_permute_factors():
     p = permute_factors(t, [1, 0])
     assert p.dims == (3, 2)
     assert (2, 1) in p.entries
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 4), (3, 2, 2, 3)])
+def test_permute_factors_matches_numpy_transpose(dims):
+    t = util.random_rational_tensor(random.Random(len(dims)), dims)
+    for perm in permutations(range(len(dims))):
+        p = permute_factors(t, perm)
+        assert p.dims == tuple(dims[q] for q in perm)
+        assert np.array_equal(p.to_numpy(), np.transpose(t.to_numpy(), perm))
 
 
 def test_apply_product_map_shapes_and_values():
