@@ -5,12 +5,12 @@ witness-backed asymptotic rank bounds."""
 from .scalars import EPS, FLOAT, RATIONAL, EpsPoly, QC
 from .tensor import (
     GroupingSpec,
+    StructureTooLarge,
     Tensor,
     apply_product_map,
     direct_sum,
     direct_sum_many,
     equal_up_to_padding,
-    flatten,
     group,
     kron,
     kron_power,
@@ -18,7 +18,7 @@ from .tensor import (
     strip_padding,
     tensor_product,
 )
-from .matrix import Matrix, rank, rank_float
+from .matrix import Matrix, flatten, rank, rank_float
 from .named import NamedTensorSpec, cw, epr, ghz, make_named, mamu, simple, unit, w_state
 from .preorder import (
     CertificateError,
@@ -58,7 +58,6 @@ from .catalog import Catalog, CatalogEntry, CatalogError, Degeneration
 from .asymptotic import (
     Bound,
     BoundReport,
-    StructureTooLarge,
     disjoint_rank_bounds,
     lattice_construction,
     lattice_obstruction,

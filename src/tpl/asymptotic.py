@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .catalog import Catalog
-from .hypergraph import StructureTooLarge, build_structure, make_family, structure_dims
-from .matrix import check_dense_size, rank
+from .hypergraph import build_structure, make_family, structure_dims
+from .matrix import rank
 from .named import ghz, mamu
 from .obstructions import KoszulSpec, flattening_ratio, gauge_points, koszul_flatten
 from .preorder import CertificateError, _interpolate, verify_degeneration
-from .tensor import equal_up_to_padding, kron, strip_padding
+from .tensor import StructureTooLarge, check_dense_size, equal_up_to_padding, kron, strip_padding
 
 MATRIX_SIDE_GUARD = 10**5
 

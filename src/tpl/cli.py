@@ -22,7 +22,7 @@ from .asymptotic import disjoint_rank_bounds, strassen_rank_bounds
 from .catalog import Catalog, entry_from_json, entry_to_json
 from .hypergraph import build_structure, fold_to_fan, make_family
 from .jsonio import FormatError
-from .matrix import rank
+from .matrix import flatten, rank
 from .named import NamedTensorSpec, make_named
 from .obstructions import (
     KoszulSpec,
@@ -48,7 +48,6 @@ from .tensor import (
     GroupingSpec,
     direct_sum,
     equal_up_to_padding,
-    flatten,
     group,
     kron,
     tensor_product,
@@ -229,14 +228,15 @@ def cmd_decide(args):
 
 def cmd_obstruct(args):
     t = _read_tensor(args.tensor)
+    gauge = gauge_points(t)
     theta = _parse_theta(args.theta, t.order)
-    _write_output(jsonio.dumps_pretty(_obstruct_report(t, args.p, theta)), args.out)
+    _write_output(jsonio.dumps_pretty(_obstruct_report(t, gauge, args.p, theta)), args.out)
     return 0
 
 
-def _obstruct_report(t, p, theta):
+def _obstruct_report(t, gauge, p, theta):
     """The `tpl obstruct` report; ValueError where a functional is undefined for t."""
-    report = {"gauge": list(gauge_points(t))}
+    report = {"gauge": list(gauge)}
     if t.dims == (2, 2, 2) and t.domain == RATIONAL:
         det = hyperdeterminant_222(t)
         report["det222"] = {
@@ -461,6 +461,9 @@ def main(argv=None):
         return VERIFY_ERROR
     except BrokenPipeError:
         return 0
+    except OSError as exc:  # an input file that exists but cannot be read
+        print(f"tpl: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

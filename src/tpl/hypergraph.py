@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from functools import reduce
 
 from . import scalars
-from .matrix import DENSE_ENTRY_GUARD, StructureTooLarge
 from .scalars import RATIONAL
-from .tensor import GroupingSpec, Tensor, group, tensor_product
+from .tensor import DENSE_ENTRY_GUARD, GroupingSpec, StructureTooLarge, Tensor, group, tensor_product
 
 FAMILIES = ("Disjoint", "Strassen", "Triangular", "Kagome", "Fan")
 

@@ -82,32 +82,42 @@ def scalar_from_json(domain, obj):
     raise FormatError(f"unknown domain {domain!r}")
 
 
-def tensor_to_json(t):
+def _entries_to_json(t):
+    """Entry list of a tensor or matrix, in sorted index order."""
     entries = []
     for idx, v in t.sorted_items():
         item = {"i": list(idx)}
         item.update(scalar_to_json(t.domain, v))
         entries.append(item)
+    return entries
+
+
+def _entries_from_json(obj):
+    """(entries, domain) of a tensor or matrix payload."""
+    domain = obj["domain"]
+    if domain not in scalars.DOMAINS:
+        raise FormatError(f"unknown domain {domain!r}")
+    entries = {}
+    for item in obj["entries"]:
+        entries[tuple(map(int, item["i"]))] = scalar_from_json(domain, item)
+    return entries, domain
+
+
+def tensor_to_json(t):
     return {
         "order": t.order,
         "dims": list(t.dims),
         "domain": t.domain,
-        "entries": entries,
+        "entries": _entries_to_json(t),
     }
 
 
 def tensor_from_json(obj):
     try:
         dims = tuple(int(d) for d in obj["dims"])
-        domain = obj["domain"]
-        if domain not in scalars.DOMAINS:
-            raise FormatError(f"unknown domain {domain!r}")
         if "order" in obj and int(obj["order"]) != len(dims):
             raise FormatError("order field disagrees with dims length")
-        entries = {}
-        for item in obj["entries"]:
-            entries[tuple(int(i) for i in item["i"])] = scalar_from_json(domain, item)
-        return Tensor(dims, entries, domain)
+        return Tensor(dims, *_entries_from_json(obj))
     except FormatError:
         raise
     except MALFORMED as exc:
@@ -115,24 +125,12 @@ def tensor_from_json(obj):
 
 
 def matrix_to_json(m):
-    entries = []
-    for (i, j), v in sorted(m.entries.items()):
-        item = {"i": [i, j]}
-        item.update(scalar_to_json(m.domain, v))
-        entries.append(item)
-    return {"rows": m.rows, "cols": m.cols, "domain": m.domain, "entries": entries}
+    return {"rows": m.rows, "cols": m.cols, "domain": m.domain, "entries": _entries_to_json(m)}
 
 
 def matrix_from_json(obj):
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        domain = obj["domain"]
-        entries = {}
-        for item in obj["entries"]:
-            i, j = (int(x) for x in item["i"])
-            entries[(i, j)] = scalar_from_json(domain, item)
-        return Matrix(rows, cols, entries, domain)
+        return Matrix(int(obj["rows"]), int(obj["cols"]), *_entries_from_json(obj))
     except FormatError:
         raise
     except MALFORMED as exc:

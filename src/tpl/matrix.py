@@ -1,8 +1,10 @@
-"""Sparse matrices over the scalar domains and exact/numeric rank.
+"""Matrices over the scalar domains, flattenings, and exact/numeric rank.
 
-Matrices are stored as coordinate maps ``(row, col) -> nonzero scalar``.
-Rank over the exact rational domain uses Gaussian elimination with exact
-field arithmetic; over the float domain it counts singular values above a
+A :class:`Matrix` is an order-2 :class:`~tpl.tensor.Tensor` with
+``dims == (rows, cols)``: it shares the tensor's storage, equality, dense
+form and eps lift, and its products run through the tensor kernels. Rank
+over the exact rational domain uses Gaussian elimination with exact field
+arithmetic; over the float domain it counts singular values above a
 relative threshold. Rank over the eps domain is rejected.
 """
 
@@ -12,47 +14,39 @@ import math
 
 from . import scalars
 from .scalars import EPS, FLOAT, RATIONAL, QC, _common_denominator, _qc
+from .tensor import GroupingSpec, Tensor, _tensor, apply_product_map, group, kron
 
 DEFAULT_FLOAT_RANK_TOL = 1e-9
 
-# Largest dense array, in entries, that ``to_numpy`` builds; lattice
-# constructions apply the same bound to the dense size of a structure.
-DENSE_ENTRY_GUARD = 10**6
 
+class Matrix(Tensor):
+    """Immutable sparse matrix with a uniform scalar domain: an order-2 Tensor."""
 
-class StructureTooLarge(ValueError):
-    """Desk-scale guard: the requested finite structure will not fit."""
-
-
-def check_dense_size(shape, what="dense array"):
-    """Raise StructureTooLarge when a dense array of ``shape`` exceeds the guard."""
-    size = math.prod(shape)
-    if size > DENSE_ENTRY_GUARD:
-        raise StructureTooLarge(
-            f"{what} of shape {tuple(shape)} has {size} entries, over {DENSE_ENTRY_GUARD}"
-        )
-
-
-class Matrix:
-    """Immutable sparse matrix with a uniform scalar domain."""
-
-    __slots__ = ("rows", "cols", "domain", "entries")
+    __slots__ = ()
 
     def __init__(self, rows, cols, entries=None, domain=RATIONAL):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative matrix shape")
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self.domain = domain
+        rows, cols = int(rows), int(cols)
+        if rows <= 0 or cols <= 0:
+            raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
+        self.dims, self.order, self.domain = (rows, cols), 2, domain
         cleaned = {}
         if entries:
+            check = scalars.check_domain_value
             for (i, j), v in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
-                v = scalars.check_domain_value(domain, v)
+                v = check(domain, v)
                 if v:
                     cleaned[(i, j)] = v
         self.entries = cleaned
+
+    @property
+    def rows(self):
+        return self.dims[0]
+
+    @property
+    def cols(self):
+        return self.dims[1]
 
     @classmethod
     def from_rows(cls, data, domain=RATIONAL):
@@ -78,24 +72,11 @@ class Matrix:
     def zeros(cls, rows, cols, domain=RATIONAL):
         return cls(rows, cols, {}, domain)
 
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.domain == other.domain
-            and self.entries == other.entries
-        )
-
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {len(self.entries)} nnz, {self.domain})"
 
     def get(self, i, j):
         return self.entries.get((i, j), scalars.zero(self.domain))
-
-    def nnz(self):
-        return len(self.entries)
 
     def columns(self):
         """Map col -> list of (row, value); useful for applying to tensors."""
@@ -108,47 +89,21 @@ class Matrix:
 
     def scale(self, factor):
         factor = scalars.coerce(self.domain, factor)
-        if not factor:
-            return Matrix.zeros(self.rows, self.cols, self.domain)
-        return Matrix(
-            self.rows,
-            self.cols,
-            {ij: v * factor for ij, v in self.entries.items()},
-            self.domain,
-        )
+        return Matrix(*self.dims, {ij: v * factor for ij, v in self.entries.items()}, self.domain)
 
     def __matmul__(self, other):
+        """Matrix product, as the product map (self, identity) applied to ``other``."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         if self.domain != other.domain:
             raise ValueError("domain mismatch in matrix product")
-        by_row = {}
-        for (i, k), v in self.entries.items():
-            by_row.setdefault(i, []).append((k, v))
-        other_rows = {}
-        for (k, j), w in other.entries.items():
-            other_rows.setdefault(k, []).append((j, w))
-        acc = {}
-        for i, left in by_row.items():
-            for k, v in left:
-                for j, w in other_rows.get(k, ()):
-                    s = acc.get((i, j))
-                    s = v * w if s is None else s + v * w
-                    acc[(i, j)] = s
-        acc = {ij: v for ij, v in acc.items() if v}
-        return Matrix(self.rows, other.cols, acc, self.domain)
+        return _matrix(apply_product_map([self, Matrix.identity(other.cols, other.domain)], other))
 
     def kron(self, other):
         """Kronecker product with row-major index packing on both sides."""
-        if self.domain != other.domain:
-            raise ValueError("domain mismatch in kron")
-        entries = {}
-        for (i, j), v in self.entries.items():
-            for (k, l), w in other.entries.items():
-                entries[(i * other.rows + k, j * other.cols + l)] = v * w
-        return Matrix(self.rows * other.rows, self.cols * other.cols, entries, self.domain)
+        return _matrix(kron(self, other))
 
     def map_values(self, fn, domain=None):
         domain = domain or self.domain
@@ -205,25 +160,30 @@ class Matrix:
             if x or y:
                 g = math.gcd(x, y, den)
                 entries[ij] = _qc(x // g, y // g, den // g)
-        return Matrix(self.rows, self.cols, entries, RATIONAL)
+        return _tensor(self.dims, entries, RATIONAL, Matrix)
 
-    def to_eps(self):
-        if self.domain == EPS:
-            return self
-        if self.domain != RATIONAL:
-            raise ValueError("only rational matrices lift to eps")
-        return self.map_values(scalars.to_eps, domain=EPS)
 
-    def to_numpy(self):
-        import numpy as np
+def _matrix(t):
+    """The order-2 kernel output ``t`` as a Matrix, unchecked."""
+    return _tensor(t.dims, t.entries, t.domain, Matrix)
 
-        if self.domain == EPS:
-            raise ValueError("eps matrices have no numeric form")
-        check_dense_size((self.rows, self.cols))
-        a = np.zeros((self.rows, self.cols), dtype=complex)
-        for (i, j), v in self.entries.items():
-            a[i, j] = scalars.to_float(v)
-        return a
+
+def flatten(t, left):
+    """Matrix of the bipartition ``left`` vs the rest.
+
+    Rows are indexed by the ``left`` positions (ascending), columns by the
+    remaining positions (ascending); both sides packed row-major. ``left``
+    must be a nonempty proper subset of the positions (0-based).
+    """
+    left = sorted(set(int(p) for p in left))
+    if not left:
+        raise ValueError("left set is empty")
+    if any(not (0 <= p < t.order) for p in left):
+        raise ValueError(f"left positions {left} outside order {t.order}")
+    right = [p for p in range(t.order) if p not in left]
+    if not right:
+        raise ValueError("left set covers all positions; flattening needs both sides")
+    return _matrix(group(t, GroupingSpec([left, right])))
 
 
 def rank(m, tol=None):

@@ -13,13 +13,15 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import scalars
-from .matrix import Matrix, rank
+from .matrix import Matrix, flatten, rank
 from .scalars import EPS, RATIONAL, QC
-from .tensor import flatten
+from .tensor import _tensor
 
 
 def gauge_points(t):
-    """Flattening rank of each single factor against the rest."""
+    """Flattening rank of each single factor against the rest (order at least 2)."""
+    if t.order < 2:
+        raise ValueError(f"gauge points need a tensor of order at least 2, got order {t.order}")
     return tuple(rank(flatten(t, {j})) for j in range(t.order))
 
 
@@ -123,7 +125,7 @@ def koszul_flatten(t, spec):
                 entries[key] = acc
             else:
                 entries.pop(key, None)
-    return Matrix(d1 * n_rows, d2 * n_cols, entries, t.domain)
+    return _tensor((d1 * n_rows, d2 * n_cols), entries, t.domain, Matrix)
 
 
 def wedge_power_matrix(g, p):

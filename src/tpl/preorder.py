@@ -16,16 +16,11 @@ from enum import Enum
 from fractions import Fraction
 
 from . import scalars
-from .matrix import Matrix, check_dense_size, rank
+from .matrix import Matrix, flatten, rank
 from .named import ghz, w_state
 from .obstructions import hyperdeterminant_222
 from .scalars import EPS, RATIONAL, QC
-from .tensor import (
-    Tensor,
-    apply_product_map,
-    direct_sum_many,
-    flatten,
-)
+from .tensor import Tensor, _tensor, apply_product_map, check_dense_size, direct_sum_many
 
 
 class CertificateError(ValueError):
@@ -184,7 +179,7 @@ def _interpolate(t, target, eps_maps, d, e):
                 block = {rc: v * w for rc, v in block.items()}
             for (r, c), v in block.items():
                 entries[(r, c + i * cols)] = v
-        maps.append(Matrix(target.dims[j], cols * (e + 1), entries, RATIONAL))
+        maps.append(_tensor((target.dims[j], cols * (e + 1)), entries, RATIONAL, Matrix))
     cert = RestrictionCertificate(tuple(maps))
     source = direct_sum_many([t] * (e + 1))
     if not verify_restriction(source, target, cert):

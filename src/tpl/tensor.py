@@ -1,9 +1,12 @@
 """Sparse tensors and their exact multilinear algebra.
 
 A :class:`Tensor` is an order-k array over one scalar domain, stored as a
-coordinate map from index tuples to nonzero scalars. All operations are
-pure; values are immutable after construction, so concurrent use needs no
-locking.
+coordinate map from index tuples to nonzero scalars; a matrix is the
+order-2 subclass :class:`tpl.matrix.Matrix`. All operations are pure;
+values are immutable after construction, so concurrent use needs no
+locking. The public constructor checks every entry; the kernels here build
+their results with :func:`_tensor`, unchecked, since valid inputs give
+valid outputs.
 
 Index packing convention: whenever several factor positions are merged
 into one (grouping, flattening, Kronecker products), the merged index is
@@ -17,7 +20,6 @@ from __future__ import annotations
 import math
 
 from . import scalars
-from .matrix import Matrix, StructureTooLarge, check_dense_size
 from .scalars import EPS, FLOAT, RATIONAL, EpsPoly, _common_denominator, _eps, _qc
 
 
@@ -27,6 +29,23 @@ from .scalars import EPS, FLOAT, RATIONAL, EpsPoly, _common_denominator, _eps, _
 # hundreds of thousands would need ints of megabytes and take seconds per
 # entry to unpack; above the guard the lane raises instead.
 LANE_BITS_GUARD = 2**20
+
+# Largest dense array, in entries, that ``to_numpy`` builds; lattice
+# constructions apply the same bound to the dense size of a structure.
+DENSE_ENTRY_GUARD = 10**6
+
+
+class StructureTooLarge(ValueError):
+    """Desk-scale guard: the requested finite structure will not fit."""
+
+
+def check_dense_size(shape, what="dense array"):
+    """Raise StructureTooLarge when a dense array of ``shape`` exceeds the guard."""
+    size = math.prod(shape)
+    if size > DENSE_ENTRY_GUARD:
+        raise StructureTooLarge(
+            f"{what} of shape {tuple(shape)} has {size} entries, over {DENSE_ENTRY_GUARD}"
+        )
 
 
 class GroupingSpec:
@@ -119,14 +138,16 @@ class Tensor:
             return self
         if self.domain == EPS:
             raise ValueError("eps tensors have no numeric form")
-        return _tensor(self.dims, {i: scalars.to_float(v) for i, v in self.entries.items()}, FLOAT)
+        entries = {i: scalars.to_float(v) for i, v in self.entries.items()}
+        return _tensor(self.dims, entries, FLOAT, type(self))
 
     def to_eps(self):
         if self.domain == EPS:
             return self
         if self.domain != RATIONAL:
             raise ValueError("only rational tensors lift to eps")
-        return _tensor(self.dims, {i: scalars.to_eps(v) for i, v in self.entries.items()}, EPS)
+        entries = {i: scalars.to_eps(v) for i, v in self.entries.items()}
+        return _tensor(self.dims, entries, EPS, type(self))
 
     def to_numpy(self):
         import numpy as np
@@ -140,15 +161,15 @@ class Tensor:
         return a
 
 
-def _tensor(dims, entries, domain):
-    """Tensor from kernel output, unchecked.
+def _tensor(dims, entries, domain, cls=Tensor):
+    """Tensor (or Matrix, as ``cls``) from kernel output, unchecked.
 
-    For the kernels below, whose inputs are already valid tensors: ``dims``
-    is a tuple of positive ints and ``entries`` maps in-range index tuples
-    to nonzero values of ``domain``. The public constructor and the JSON
-    loaders keep the full check.
+    For kernels whose inputs are already valid tensors: ``dims`` is a tuple
+    of positive ints (two of them for a Matrix) and ``entries`` maps
+    in-range index tuples to nonzero values of ``domain``. The public
+    constructors and the JSON loaders keep the full check.
     """
-    t = object.__new__(Tensor)
+    t = object.__new__(cls)
     t.dims, t.order, t.domain, t.entries = dims, len(dims), domain, entries
     return t
 
@@ -232,25 +253,6 @@ def kron_power(t, n):
     for _ in range(n - 1):
         acc = kron(acc, t)
     return acc
-
-
-def flatten(t, left):
-    """Matrix of the bipartition ``left`` vs the rest.
-
-    Rows are indexed by the ``left`` positions (ascending), columns by the
-    remaining positions (ascending); both sides packed row-major. ``left``
-    must be a nonempty proper subset of the positions (0-based).
-    """
-    left = sorted(set(int(p) for p in left))
-    if not left:
-        raise ValueError("left set is empty")
-    if any(not (0 <= p < t.order) for p in left):
-        raise ValueError(f"left positions {left} outside order {t.order}")
-    right = [p for p in range(t.order) if p not in left]
-    if not right:
-        raise ValueError("left set covers all positions; flattening needs both sides")
-    grouped = group(t, GroupingSpec([left, right]))
-    return Matrix(*grouped.dims, grouped.entries, t.domain)
 
 
 def permute_factors(t, perm):

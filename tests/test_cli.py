@@ -625,3 +625,35 @@ def test_bounds_of_other_orders_exit_zero(capsys, tmp_path):
         assert code == 0
         report = json.loads(out)
         assert (report["lower"]["value"], report["upper"]["value"]) == ("2", "2")
+
+
+@pytest.mark.parametrize(
+    "unreadable, argv",
+    [
+        ("foo.json", ["catalog", "get", "--id", "foo"]),
+        ("manifest.json", ["catalog", "list"]),
+        ("manifest.json", ["catalog", "verify"]),
+        ("manifest.json", ["bounds", "disjoint"]),
+    ],
+    ids=["get", "list", "verify", "bounds"],
+)
+def test_unreadable_catalog_file_is_a_usage_error(capsys, tmp_path, w_path, unreadable, argv):
+    catalog = tmp_path / "cat"
+    (catalog / unreadable).mkdir(parents=True)
+    extra = ["--tensor", w_path] if argv[0] == "bounds" else []
+    code, out, err = run(capsys, [*argv, "--catalog", str(catalog), *extra])
+    assert (code, out) == (2, "")
+    assert err == f"tpl: cannot read {catalog / unreadable}: Is a directory\n"
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize(
+    "argv",
+    [["bounds", "strassen"], ["bounds", "disjoint"], ["obstruct"]],
+    ids=["strassen", "disjoint", "obstruct"],
+)
+def test_tensors_of_order_below_two_exit_one(capsys, tmp_path, order, argv):
+    t = Tensor((2,) * order, {(1,) * order: QC(1)})
+    code, out, err = run(capsys, [*argv, "--tensor", _tensor_file(tmp_path, "t.json", t)])
+    assert (code, out) == (1, "")
+    assert err == f"tpl: gauge points need a tensor of order at least 2, got order {order}\n"

@@ -17,10 +17,9 @@ from tpl.hypergraph import (
     slot_structure,
     structure_dims,
 )
-from tpl.matrix import StructureTooLarge
 from tpl.named import epr, ghz, mamu, w_state
 from tpl.scalars import QC
-from tpl.tensor import Tensor, group, kron_power
+from tpl.tensor import StructureTooLarge, Tensor, group, kron_power
 
 
 def test_hypergraph_validation():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import util
-from tpl.matrix import Matrix, rank
+from tpl.matrix import Matrix, flatten, rank
 from tpl.named import ghz, mamu, simple, w_state
 from tpl.obstructions import (
     KoszulSpec,
@@ -19,7 +19,7 @@ from tpl.obstructions import (
     wedge_power_matrix,
 )
 from tpl.scalars import QC
-from tpl.tensor import Tensor, apply_product_map, flatten, kron, permute_factors
+from tpl.tensor import Tensor, apply_product_map, kron, permute_factors
 
 
 def test_gauge_points_basics():
@@ -244,3 +244,9 @@ def test_quantum_functional_multiplicative_and_permutation_invariant():
 def test_quantum_functional_zero_rejected():
     with pytest.raises(ValueError):
         quantum_functional_point(Tensor((2, 2), {}), ThetaWeights.uniform(2))
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_gauge_points_need_order_two(order):
+    with pytest.raises(ValueError, match=f"order at least 2, got order {order}$"):
+        gauge_points(Tensor((3,) * order, {(0,) * order: QC(1)}))

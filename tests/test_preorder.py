@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import util
-from tpl.matrix import Matrix, StructureTooLarge
+from tpl.matrix import Matrix
 from tpl.named import ghz, w_state
 from tpl.preorder import (
     CertificateError,
@@ -24,7 +24,7 @@ from tpl.preorder import (
     verify_restriction,
 )
 from tpl.scalars import EPS, EpsPoly, QC
-from tpl.tensor import Tensor, apply_product_map, direct_sum_many
+from tpl.tensor import StructureTooLarge, Tensor, apply_product_map, direct_sum_many
 
 
 def w_border_cert():

@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 
 import util
-from tpl.matrix import DENSE_ENTRY_GUARD, Matrix, StructureTooLarge, check_dense_size, rank
+from tpl.matrix import Matrix, flatten, rank
 from tpl.named import cw, epr, ghz, mamu, simple, w_state
 from tpl.scalars import FLOAT, QC
 from tpl.tensor import (
+    DENSE_ENTRY_GUARD,
     GroupingSpec,
+    StructureTooLarge,
     Tensor,
     apply_product_map,
+    check_dense_size,
     direct_sum,
     direct_sum_many,
     equal_up_to_padding,
-    flatten,
     group,
     kron,
     permute_factors,
