@@ -40,12 +40,13 @@ class Hypergraph:
     __slots__ = ("n_vertices", "edges", "uniformity")
 
     def __init__(self, n_vertices, edges, uniformity=None):
-        self.n_vertices = int(n_vertices)
-        if self.n_vertices < 0:
+        scalars.check_ints((n_vertices,), "vertex count")
+        self.n_vertices = n_vertices
+        if n_vertices < 0:
             raise ValueError("negative vertex count")
         cleaned = []
         for e in edges:
-            e = tuple(int(v) for v in e)
+            e = scalars.check_ints(e, "hyperedge vertices")
             if len(set(e)) != len(e):
                 raise ValueError(f"hyperedge {e} repeats a vertex")
             if any(not (0 <= v < self.n_vertices) for v in e):
@@ -53,7 +54,7 @@ class Hypergraph:
             cleaned.append(e)
         self.edges = tuple(cleaned)
         if uniformity is not None:
-            uniformity = int(uniformity)
+            scalars.check_ints((uniformity,), "uniformity")
             if any(len(e) != uniformity for e in self.edges):
                 raise ValueError(f"edges are not {uniformity}-uniform")
         self.uniformity = uniformity
@@ -89,7 +90,8 @@ class GroupingMap:
     n_targets: int
 
     def __post_init__(self):
-        object.__setattr__(self, "mapping", tuple(int(v) for v in self.mapping))
+        object.__setattr__(self, "mapping", scalars.check_ints(self.mapping, "grouping map targets"))
+        scalars.check_ints((self.n_targets,), "grouping map target count")
         if any(not (0 <= v < self.n_targets) for v in self.mapping):
             raise ValueError("grouping map target out of range")
         if set(self.mapping) != set(range(self.n_targets)):

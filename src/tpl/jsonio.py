@@ -15,7 +15,6 @@ from pathlib import Path
 from . import scalars
 from .matrix import Matrix
 from .preorder import CertificateError, DegenerationCertificate, RestrictionCertificate
-from .hypergraph import GroupingMap, Hypergraph
 from .scalars import EPS, FLOAT, RATIONAL, EpsPoly, QC
 from .tensor import Tensor
 
@@ -71,7 +70,7 @@ def scalar_from_json(domain, obj):
         if not isinstance(coeffs, dict):
             raise FormatError(f"eps scalar needs a coeffs map, got {obj!r}")
         try:
-            return EpsPoly({int(d): _qc_from_fields(c) for d, c in coeffs.items()})
+            return EpsPoly({scalars.parse_int(d): _qc_from_fields(c) for d, c in coeffs.items()})
         except ValueError as exc:
             raise FormatError(f"bad eps scalar {obj!r}") from exc
     if domain == FLOAT:
@@ -95,11 +94,9 @@ def _entries_to_json(t):
 def _entries_from_json(obj):
     """(entries, domain) of a tensor or matrix payload."""
     domain = obj["domain"]
-    if domain not in scalars.DOMAINS:
-        raise FormatError(f"unknown domain {domain!r}")
     entries = {}
     for item in obj["entries"]:
-        entries[tuple(map(int, item["i"]))] = scalar_from_json(domain, item)
+        entries[tuple(item["i"])] = scalar_from_json(domain, item)
     return entries, domain
 
 
@@ -114,10 +111,10 @@ def tensor_to_json(t):
 
 def tensor_from_json(obj):
     try:
-        dims = tuple(int(d) for d in obj["dims"])
-        if "order" in obj and int(obj["order"]) != len(dims):
+        t = Tensor(obj["dims"], *_entries_from_json(obj))
+        if "order" in obj and scalars.check_ints((obj["order"],), "order") != (t.order,):
             raise FormatError("order field disagrees with dims length")
-        return Tensor(dims, *_entries_from_json(obj))
+        return t
     except FormatError:
         raise
     except MALFORMED as exc:
@@ -130,7 +127,7 @@ def matrix_to_json(m):
 
 def matrix_from_json(obj):
     try:
-        return Matrix(int(obj["rows"]), int(obj["cols"]), *_entries_from_json(obj))
+        return Matrix(obj["rows"], obj["cols"], *_entries_from_json(obj))
     except FormatError:
         raise
     except MALFORMED as exc:
@@ -157,7 +154,7 @@ def certificate_from_json(obj):
         if kind == "restriction":
             return RestrictionCertificate(maps)
         if kind == "degeneration":
-            return DegenerationCertificate(maps, int(obj.get("d", 0)), int(obj.get("e", 0)))
+            return DegenerationCertificate(maps, obj.get("d", 0), obj.get("e", 0))
     except FormatError:
         raise
     except CertificateError as exc:
@@ -171,23 +168,8 @@ def hypergraph_to_json(h):
     return {"vertices": h.n_vertices, "edges": [list(e) for e in h.edges]}
 
 
-def hypergraph_from_json(obj):
-    try:
-        return Hypergraph(int(obj["vertices"]), [tuple(e) for e in obj["edges"]])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad hypergraph object: {exc}") from exc
-
-
 def grouping_map_to_json(gm):
     return {"map": list(gm.mapping)}
-
-
-def grouping_map_from_json(obj):
-    try:
-        mapping = tuple(int(v) for v in obj["map"])
-        return GroupingMap(mapping, max(mapping) + 1)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad grouping map object: {exc}") from exc
 
 
 def vector_to_json(vec):

@@ -14,7 +14,7 @@ import math
 
 from . import scalars
 from .scalars import EPS, FLOAT, RATIONAL, QC, _common_denominator, _qc
-from .tensor import GroupingSpec, Tensor, _tensor, apply_product_map, group, kron
+from .tensor import GroupingSpec, Tensor, _check_entries, _tensor, apply_product_map, group, kron
 
 DEFAULT_FLOAT_RANK_TOL = 1e-9
 
@@ -25,20 +25,8 @@ class Matrix(Tensor):
     __slots__ = ()
 
     def __init__(self, rows, cols, entries=None, domain=RATIONAL):
-        rows, cols = int(rows), int(cols)
-        if rows <= 0 or cols <= 0:
-            raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
-        self.dims, self.order, self.domain = (rows, cols), 2, domain
-        cleaned = {}
-        if entries:
-            check = scalars.check_domain_value
-            for (i, j), v in entries.items():
-                if not (0 <= i < rows and 0 <= j < cols):
-                    raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
-                v = check(domain, v)
-                if v:
-                    cleaned[(i, j)] = v
-        self.entries = cleaned
+        self.dims, self.entries = _check_entries((rows, cols), entries, domain, "matrix")
+        self.order, self.domain = 2, domain
 
     @property
     def rows(self):
@@ -175,7 +163,7 @@ def flatten(t, left):
     remaining positions (ascending); both sides packed row-major. ``left``
     must be a nonempty proper subset of the positions (0-based).
     """
-    left = sorted(set(int(p) for p in left))
+    left = sorted(set(left))
     if not left:
         raise ValueError("left set is empty")
     if any(not (0 <= p < t.order) for p in left):

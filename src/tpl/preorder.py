@@ -55,6 +55,7 @@ class DegenerationCertificate:
         for m in self.maps:
             if not isinstance(m, Matrix) or m.domain != EPS:
                 raise CertificateError("degeneration maps must be eps matrices")
+        scalars.check_ints((self.d, self.e), "declared degrees d and e", CertificateError)
 
     @property
     def order(self):
@@ -109,7 +110,7 @@ def verify_degeneration(t, target, cert):
         c = p.coefficient(d)
         if c:
             low[idx] = c
-    ok = Tensor(image.dims, low, RATIONAL) == target
+    ok = _tensor(image.dims, low, RATIONAL) == target
     return ok, d, e
 
 

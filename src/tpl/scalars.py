@@ -23,10 +23,23 @@ RATIONAL = "rational"
 EPS = "eps"
 FLOAT = "float"
 
-DOMAINS = (RATIONAL, EPS, FLOAT)
+
+def check_ints(values, what, error=ValueError):
+    """``values`` as a tuple; raise ``error`` unless each one is an ``int``.
+
+    This is the one rule for indices, dimensions, positions and degrees:
+    a bool, a float (even 2.0) or a numpy integer is refused, never
+    truncated, so no input is read as a different one.
+    """
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:
+            raise error(f"{what} must be ints, got {v!r}")
+    return values
 
 
-_FRACTION = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_INTEGER = r"[+-]?[0-9]+"
+_FRACTION = re.compile(_INTEGER + r"(/[0-9]+)?")
 
 
 def parse_fraction(s):
@@ -44,6 +57,16 @@ def parse_fraction(s):
     if isinstance(s, str) and _FRACTION.fullmatch(s):
         return Fraction(s)
     raise ValueError(f"not a fraction p or p/q: {s!r}")
+
+
+def parse_int(s):
+    """Parse "p" (``[+-]?digits``), the integer form of :func:`parse_fraction`.
+
+    Used for eps degree keys; "1_0", " 2" and "1.5" raise ValueError.
+    """
+    if isinstance(s, str) and re.fullmatch(_INTEGER, s):
+        return int(s)
+    raise ValueError(f"not an integer p: {s!r}")
 
 
 def format_fraction(f):
@@ -202,10 +225,11 @@ class EpsPoly:
     def __init__(self, coeffs=None):
         cleaned = {}
         if coeffs:
+            check_ints(coeffs, "eps degrees")
             for d, c in coeffs.items():
                 c = QC.coerce(c)
                 if c:
-                    cleaned[int(d)] = c
+                    cleaned[d] = c
         self.coeffs = cleaned
 
     @classmethod
@@ -244,12 +268,12 @@ class EpsPoly:
                 out[d] = s
             else:
                 out.pop(d, None)
-        return EpsPoly(out)
+        return _eps(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return EpsPoly({d: -c for d, c in self.coeffs.items()})
+        return _eps({d: -c for d, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-EpsPoly.coerce(other))
@@ -265,7 +289,7 @@ class EpsPoly:
                     out[d] = s
                 else:
                     out.pop(d, None)
-        return EpsPoly(out)
+        return _eps(out)
 
     __rmul__ = __mul__
 
@@ -310,63 +334,31 @@ class EpsPoly:
         return "EpsPoly(" + " + ".join(parts) + ")"
 
 
-def zero(domain):
-    if domain == RATIONAL:
-        return QC_ZERO
-    if domain == EPS:
-        return EpsPoly()
-    if domain == FLOAT:
-        return 0j
-    raise ValueError(f"unknown domain {domain!r}")
-
-
-def one(domain):
-    if domain == RATIONAL:
-        return QC_ONE
-    if domain == EPS:
-        return EpsPoly.const(1)
-    if domain == FLOAT:
-        return 1 + 0j
-    raise ValueError(f"unknown domain {domain!r}")
+# The scalar type of each domain: the one place that decides which domains
+# exist and what their values are.
+DOMAIN_TYPES = {RATIONAL: QC, EPS: EpsPoly, FLOAT: complex}
 
 
 def coerce(domain, v):
     """Coerce a raw value into the given domain's scalar type."""
-    if domain == RATIONAL:
-        return QC.coerce(v)
-    if domain == EPS:
-        return EpsPoly.coerce(v)
-    if domain == FLOAT:
-        if isinstance(v, QC):
-            return v.to_complex()
-        return complex(v)
-    raise ValueError(f"unknown domain {domain!r}")
+    cls = DOMAIN_TYPES.get(domain)
+    if cls is None:
+        raise ValueError(f"unknown domain {domain!r}")
+    if cls is complex:
+        return v.to_complex() if isinstance(v, QC) else complex(v)
+    return cls.coerce(v)
+
+
+def zero(domain):
+    return coerce(domain, 0)
+
+
+def one(domain):
+    return coerce(domain, 1)
 
 
 def check_domain_value(domain, v):
     """Raise TypeError unless v is a value of the domain."""
-    if domain == RATIONAL and isinstance(v, QC):
-        return v
-    if domain == EPS and isinstance(v, EpsPoly):
-        return v
-    if domain == FLOAT and isinstance(v, complex):
+    if isinstance(v, DOMAIN_TYPES.get(domain, ())):
         return v
     raise TypeError(f"value {v!r} does not belong to domain {domain!r}")
-
-
-def to_float(v):
-    """Convert an exact or float scalar to complex. EpsPoly is rejected."""
-    if isinstance(v, QC):
-        return v.to_complex()
-    if isinstance(v, complex):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return complex(v)
-    raise TypeError(f"cannot convert {type(v).__name__} to complex")
-
-
-def to_eps(v):
-    """Lift a rational scalar to a degree-0 eps polynomial."""
-    if isinstance(v, EpsPoly):
-        return v
-    return EpsPoly.const(QC.coerce(v))

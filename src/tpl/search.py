@@ -194,7 +194,8 @@ def polish_rational_certificate(
             return cert
         options = []
         for j, m in enumerate(maps):
-            for (r, c) in map(tuple, np.argwhere(~frozen[j])):
+            # tolist() gives Python ints, which the certificate's Matrix requires
+            for r, c in np.argwhere(~frozen[j]).tolist():
                 v = complex(m[r, c])
                 cands = _rational_candidates(v, max_denominator, candidate_tries)
                 if cands:

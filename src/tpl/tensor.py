@@ -60,7 +60,7 @@ class GroupingSpec:
     __slots__ = ("blocks",)
 
     def __init__(self, blocks):
-        blocks = tuple(tuple(int(p) for p in b) for b in blocks)
+        blocks = tuple(scalars.check_ints(b, "grouping positions") for b in blocks)
         if any(len(b) == 0 for b in blocks):
             raise ValueError("empty block in grouping")
         flat = [p for b in blocks for p in b]
@@ -92,24 +92,9 @@ class Tensor:
     __slots__ = ("order", "dims", "domain", "entries")
 
     def __init__(self, dims, entries=None, domain=RATIONAL):
-        dims = tuple(int(d) for d in dims)
-        if any(d <= 0 for d in dims):
-            raise ValueError("tensor dimensions must be positive")
-        self.dims = dims
-        self.order = len(dims)
+        self.dims, self.entries = _check_entries(dims, entries, domain)
+        self.order = len(self.dims)
         self.domain = domain
-        cleaned = {}
-        if entries:
-            for idx, v in entries.items():
-                idx = tuple(int(i) for i in idx)
-                if len(idx) != self.order:
-                    raise ValueError(f"index {idx} has wrong length for order {self.order}")
-                if any(not (0 <= i < d) for i, d in zip(idx, dims)):
-                    raise ValueError(f"index {idx} outside dims {dims}")
-                v = scalars.check_domain_value(domain, v)
-                if v:
-                    cleaned[idx] = v
-        self.entries = cleaned
 
     def nnz(self):
         return len(self.entries)
@@ -138,7 +123,7 @@ class Tensor:
             return self
         if self.domain == EPS:
             raise ValueError("eps tensors have no numeric form")
-        entries = {i: scalars.to_float(v) for i, v in self.entries.items()}
+        entries = {i: scalars.coerce(FLOAT, v) for i, v in self.entries.items()}
         return _tensor(self.dims, entries, FLOAT, type(self))
 
     def to_eps(self):
@@ -146,7 +131,7 @@ class Tensor:
             return self
         if self.domain != RATIONAL:
             raise ValueError("only rational tensors lift to eps")
-        entries = {i: scalars.to_eps(v) for i, v in self.entries.items()}
+        entries = {i: EpsPoly.coerce(v) for i, v in self.entries.items()}
         return _tensor(self.dims, entries, EPS, type(self))
 
     def to_numpy(self):
@@ -157,8 +142,41 @@ class Tensor:
         check_dense_size(self.dims)
         a = np.zeros(self.dims, dtype=complex)
         for idx, v in self.entries.items():
-            a[idx] = scalars.to_float(v)
+            a[idx] = scalars.coerce(FLOAT, v)
         return a
+
+
+def _check_entries(dims, entries, domain, noun="tensor"):
+    """``(dims, entries)`` checked for the public constructors, zeros dropped.
+
+    The one entry check of ``Tensor(...)`` and ``Matrix(...)``: ``domain``
+    must be a key of ``scalars.DOMAIN_TYPES`` and every value of its type,
+    dimensions and index components ints (:func:`scalars.check_ints`; never
+    truncated), dimensions positive and every index in range. ``noun``
+    names the object in the messages. Each index position is checked as one
+    column, so the cost per entry is small.
+    """
+    if domain not in scalars.DOMAIN_TYPES:
+        raise ValueError(f"unknown domain {domain!r}")
+    dims = scalars.check_ints(dims, f"{noun} dimensions")
+    if dims and min(dims) <= 0:
+        raise ValueError(f"{noun} dimensions must be positive, got {_shape(dims)}")
+    if not entries:
+        return dims, {}
+    for idx in entries:
+        if len(idx) != len(dims):
+            raise ValueError(f"index {idx!r} has wrong length for order {len(dims)}")
+    for d, column in zip(dims, zip(*entries)):
+        scalars.check_ints(column, "index components")
+        if min(column) < 0 or max(column) >= d:
+            bad = next(idx for idx in entries if not all(0 <= i < n for i, n in zip(idx, dims)))
+            raise ValueError(f"index {bad!r} outside {_shape(dims)}")
+    check = scalars.check_domain_value
+    return dims, {idx: v for idx, v in entries.items() if check(domain, v)}
+
+
+def _shape(dims):
+    return "x".join(map(str, dims))
 
 
 def _tensor(dims, entries, domain, cls=Tensor):

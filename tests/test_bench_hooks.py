@@ -6,7 +6,9 @@ from pathlib import Path
 from test_preorder import w_border_cert
 
 import tpl
+from tpl.catalog import Catalog
 from tpl.matrix import Matrix
+from tpl.obstructions import KoszulSpec
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -37,3 +39,38 @@ def test_tracer_wraps_the_traced_layers_and_restores_them():
                     "tensor.apply_product_map.terms", "preorder.verify.calls",
                     "matrix.rank.max_side"):
         assert tracer.counts[counter] > 0, counter
+
+
+# What each of the tracer's probes records: ("counts" or "keys", name).
+PROBE_OUTPUTS = {
+    "tensor.apply_product_map": ("counts", "tensor.apply_product_map.terms"),
+    "preorder.verify_restriction": ("keys", "preorder.verify"),
+    "preorder.verify_degeneration": ("keys", "preorder.verify"),
+    "matrix.rank": ("counts", "matrix.rank.max_side"),
+    "hypergraph.build_structure": ("counts", "hypergraph.build_structure.nnz_out"),
+    "obstructions.max_simple_koszul_rank": ("keys", "obstructions.simple_rank"),
+    "catalog.verify_entry": ("keys", "catalog.verify"),
+    "jsonio.load_path": ("counts", "jsonio.load_path.bytes"),
+    "jsonio.dump_path": ("counts", "jsonio.dump_path.bytes"),
+}
+
+
+def test_every_probe_runs_and_records(tmp_path):
+    tracer_module = load_tracer()
+    assert set(PROBE_OUTPUTS) == set(tracer_module.PROBES)
+    tracer = tracer_module.Tracer()
+    with tracer:
+        # Looked up at call time, so that the tracer's wrappers are called.
+        tpl.interpolate(tpl.ghz(2), tpl.w_state(), w_border_cert())
+        tpl.matrix.rank(tpl.flatten(tpl.w_state(), {0}))
+        tpl.hypergraph.build_structure(tpl.hypergraph.make_family("Fan", 2), tpl.w_state())
+        tpl.obstructions.max_simple_koszul_rank(KoszulSpec(3, 1), trials=4, seed=1)
+        entry = Catalog.packaged().get("w-border2-degeneration")
+        catalog = Catalog(tmp_path / "cat")
+        catalog.put(entry)
+        assert catalog.get(entry.id).tensor == entry.tensor
+    names = {span[0] for span in tracer.spans}
+    for probe, (store, key) in PROBE_OUTPUTS.items():
+        assert probe in names, probe
+        assert getattr(tracer, store)[key], (probe, key)
+    assert tracer.keys["obstructions.simple_rank"] == {"3,1,4,1"}

@@ -1,0 +1,173 @@
+"""Input is checked once, where it enters, and never converted.
+
+A dimension, an index component, a position, a vertex, an eps degree or a
+certificate's declared degree must be an ``int``: a float (even 2.0), a
+bool or a numpy integer is refused, never truncated, so no input is read
+as a different one.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from test_preorder import w_border_cert
+
+from tpl import jsonio
+from tpl.catalog import Catalog
+from tpl.cli import main
+from tpl.hypergraph import GroupingMap, Hypergraph
+from tpl.matrix import Matrix
+from tpl.named import ghz, w_state
+from tpl.preorder import CertificateError, DegenerationCertificate
+from tpl.scalars import EPS, EpsPoly, QC, parse_int
+from tpl.tensor import GroupingSpec, Tensor
+
+CONSTRUCTORS = {
+    "Tensor": lambda dims, entries: Tensor(dims, entries),
+    "Matrix": lambda dims, entries: Matrix(*dims, entries),
+}
+
+
+@pytest.mark.parametrize("build", sorted(CONSTRUCTORS))
+@pytest.mark.parametrize("dims", [(2.0, 2), (2, 2.5), (True, 2)])
+def test_constructors_refuse_non_int_dimensions(build, dims):
+    with pytest.raises(ValueError, match="dimensions must be ints"):
+        CONSTRUCTORS[build](dims, {})
+
+
+@pytest.mark.parametrize("build", sorted(CONSTRUCTORS))
+@pytest.mark.parametrize("idx", [(0.5, 1), (1.0, 0), (0, True), (np.int64(1), 0)])
+def test_constructors_refuse_non_int_index_components(build, idx):
+    with pytest.raises(ValueError, match="index components must be ints"):
+        CONSTRUCTORS[build]((2, 2), {idx: QC(1)})
+
+
+def test_constructors_refuse_an_unknown_domain():
+    with pytest.raises(ValueError, match="unknown domain"):
+        Tensor((2,), {}, "bogus")
+    with pytest.raises(ValueError, match="unknown domain"):
+        Matrix(1, 1, None, "bogus")
+
+
+def _tensor_json(edit):
+    obj = jsonio.tensor_to_json(w_state())
+    edit(obj)
+    return obj
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda o: o.update(dims=[2.5, 2, 2]),
+        lambda o: o.update(dims=[2.0, 2, 2]),
+        lambda o: o["entries"][0].update(i=[1.9, 0, 0]),
+        lambda o: o.update(order=3.0),
+        lambda o: o.update(order=True, dims=[2], entries=[]),
+    ],
+    ids=["dims-2.5", "dims-2.0", "i-1.9", "order-3.0", "order-true"],
+)
+def test_tensor_reader_refuses_non_int_numbers(edit):
+    with pytest.raises(jsonio.FormatError):
+        jsonio.tensor_from_json(_tensor_json(edit))
+
+
+@pytest.mark.parametrize("field", ["rows", "cols"])
+def test_matrix_reader_refuses_a_float_side(field):
+    obj = jsonio.matrix_to_json(Matrix.identity(2))
+    obj[field] = 2.0
+    with pytest.raises(jsonio.FormatError):
+        jsonio.matrix_from_json(obj)
+
+
+@pytest.mark.parametrize("field, value", [("d", 1.9), ("e", True), ("d", 1.0)])
+def test_certificate_reader_refuses_non_int_degrees(field, value):
+    obj = jsonio.certificate_to_json(w_border_cert())
+    obj[field] = value
+    with pytest.raises(jsonio.FormatError, match="declared degrees"):
+        jsonio.certificate_from_json(obj)
+
+
+def test_degeneration_certificate_refuses_non_int_degrees():
+    maps = w_border_cert().maps
+    with pytest.raises(CertificateError):
+        DegenerationCertificate(maps, d=1.9, e=2)
+    with pytest.raises(CertificateError):
+        DegenerationCertificate(maps, d=1, e=False)
+
+
+@pytest.mark.parametrize("key", ["1_0", " 2", "1.5", "2 ", "+", "", "١"])
+def test_eps_degree_key_must_be_digits(key):
+    with pytest.raises(ValueError):
+        parse_int(key)
+    obj = {"coeffs": {key: {"re": "1", "im": "0"}}}
+    with pytest.raises(jsonio.FormatError):
+        jsonio.scalar_from_json(EPS, obj)
+
+
+def test_eps_degree_keys_read_as_signed_ints():
+    obj = {"coeffs": {"-3": {"re": "1", "im": "0"}, "+2": {"re": "2", "im": "0"}, "10": {"re": "3", "im": "0"}}}
+    assert jsonio.scalar_from_json(EPS, obj).coeffs == {-3: QC(1), 2: QC(2), 10: QC(3)}
+
+
+@pytest.mark.parametrize("degree", [1.7, 1.0, True])
+def test_eps_poly_refuses_non_int_degrees(degree):
+    with pytest.raises(ValueError, match="eps degrees must be ints"):
+        EpsPoly({degree: 1})
+    with pytest.raises(ValueError, match="eps degrees must be ints"):
+        EpsPoly.eps(degree)
+
+
+def test_grouping_spec_refuses_non_int_positions():
+    with pytest.raises(ValueError, match="grouping positions must be ints"):
+        GroupingSpec([(0.5,), (1.9,)])
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(3.9, [(0, 1)], None), (3, [(0, 1.2)], None), (3, [(0, 1)], 2.5), (3, [(0, True)], None)],
+    ids=["vertices", "edge-vertex", "uniformity", "edge-bool"],
+)
+def test_hypergraph_refuses_non_int_values(args):
+    n_vertices, edges, uniformity = args
+    with pytest.raises(ValueError, match="must be ints"):
+        Hypergraph(n_vertices, edges, uniformity=uniformity)
+
+
+@pytest.mark.parametrize("args", [((0.2, 1.7), 2), ((0, 1), 2.0)], ids=["targets", "count"])
+def test_grouping_map_refuses_non_int_values(args):
+    with pytest.raises(ValueError, match="must be ints"):
+        GroupingMap(*args)
+
+
+def _write(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(jsonio.dumps_pretty(obj))
+    return str(path)
+
+
+def test_cert_verify_refuses_a_float_index(capsys, tmp_path):
+    cert = jsonio.certificate_to_json(w_border_cert())
+    cert["maps"][0]["entries"][0]["i"] = [1.9, 0]
+    argv = [
+        "cert-verify",
+        "--src", _write(tmp_path, "src.json", jsonio.tensor_to_json(ghz(2))),
+        "--dst", _write(tmp_path, "dst.json", jsonio.tensor_to_json(w_state())),
+        "--cert", _write(tmp_path, "cert.json", cert),
+    ]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("tpl: ") and err.count("\n") == 1
+    assert "index components must be ints" in err
+
+
+def test_catalog_put_refuses_a_float_declared_degree(capsys, tmp_path):
+    packaged = Catalog.packaged().path / "w-border2-degeneration.json"
+    obj = json.loads(packaged.read_text())
+    obj["degeneration"]["cert"]["d"] = 1.9
+    cat = tmp_path / "cat"
+    code = main(["catalog", "put", "--catalog", str(cat), "--file", _write(tmp_path, "entry.json", obj)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("tpl: ") and err.count("\n") == 1
+    assert not cat.exists()

@@ -81,16 +81,15 @@ def test_certificate_kind_checked():
         jsonio.certificate_from_json(obj)
 
 
-def test_hypergraph_round_trip():
-    h = make_family("Triangular", 5)
-    back = jsonio.hypergraph_from_json(jsonio.hypergraph_to_json(h))
-    assert back == h
+def test_hypergraph_writer():
+    h = make_family("Fan", 2)
+    text = jsonio.dumps_compact(jsonio.hypergraph_to_json(h))
+    assert text == '{"vertices":4,"edges":[[0,1,2],[0,1,3]]}\n'
 
 
-def test_grouping_map_round_trip():
+def test_grouping_map_writer():
     gm = GroupingMap((0, 1, 0, 2), 3)
-    back = jsonio.grouping_map_from_json(jsonio.grouping_map_to_json(gm))
-    assert back.mapping == gm.mapping
+    assert jsonio.dumps_compact(jsonio.grouping_map_to_json(gm)) == '{"map":[0,1,0,2]}\n'
 
 
 def test_decomposition_round_trip():
