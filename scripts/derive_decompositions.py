@@ -50,7 +50,7 @@ def als_attempt(target, rank_terms, seeds, iterations=3000):
         if residual > 1e-18:
             continue
         arrays = gauge_normalize(maps)
-        cert = polish_rational_certificate(source, target, arrays, max_denominator=4)
+        cert = polish_rational_certificate(source, target, arrays)
         if cert is None:
             print(f"  als seed {seed}: converged but did not rationalize")
             continue

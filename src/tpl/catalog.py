@@ -56,11 +56,6 @@ class CatalogEntry:
     metadata: dict = field(default_factory=dict)
 
 
-def term_tensor(dims, term):
-    """Simple tensor from one decomposition term (one vector per factor)."""
-    return decomposition_tensor(dims, [term])
-
-
 def decomposition_tensor(dims, terms):
     """Exact sum of the simple tensors of a decomposition.
 

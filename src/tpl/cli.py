@@ -4,7 +4,8 @@ Exit codes are decided in :func:`main` alone. 0 on success (a verified
 "false" answer is still success and is printed as JSON). 1 on any typed
 error of the library, each a ``ValueError``: a failed verification, a
 corrupted certificate or catalog entry, a malformed payload or an input file
-that is not UTF-8, an operation undefined for its input, or a size guard.
+that is not UTF-8 or nests too deeply, an operation undefined for its input,
+or a size guard.
 2 on usage errors (:class:`UsageError`): a bad flag value, a missing flag,
 or a path that cannot be read or written. Factor positions on the command
 line are 0-based, matching the index arrays of the JSON formats.
@@ -13,7 +14,6 @@ line are 0-based, matching the index arrays of the JSON formats.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -46,6 +46,7 @@ from .preorder import (
 from .scalars import RATIONAL, format_fraction, parse_fraction
 from .tensor import (
     GroupingSpec,
+    StructureTooLarge,
     direct_sum,
     equal_up_to_padding,
     group,
@@ -66,10 +67,7 @@ class UsageError(Exception):
 
 def _read_json_input(path):
     if path is None or path == "-":
-        try:
-            return json.loads(sys.stdin.read())
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"stdin: {exc}") from exc
+        return jsonio.loads(sys.stdin.read(), "stdin")
     try:
         return jsonio.load_path(path)
     except OSError as exc:
@@ -289,6 +287,8 @@ def cmd_hypergraph(args):
         return 0
     try:
         h = make_family(args.family, args.n, args.k or 3)
+    except StructureTooLarge:
+        raise
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.tensor:

@@ -102,9 +102,17 @@ class GroupingMap:
 
 
 def make_family(family, n, k=3):
-    """Deterministic n-edge member of one of the paradigm families."""
+    """Deterministic n-edge member of one of the paradigm families.
+
+    ``n`` and ``k`` must be ints. Building takes time and memory linear in
+    n, so an n above ``DENSE_ENTRY_GUARD`` raises StructureTooLarge before
+    anything is built.
+    """
+    scalars.check_ints((n, k), "family size n and uniformity k")
     if n < 1:
         raise ValueError("family size n must be >= 1")
+    if n > DENSE_ENTRY_GUARD:
+        raise StructureTooLarge(f"family size n = {n} exceeds the guard {DENSE_ENTRY_GUARD}")
     if family == "Disjoint":
         if k < 2:
             raise ValueError("Disjoint needs k >= 2")
@@ -363,80 +371,6 @@ def is_homomorphism(h_src, h_dst, grouping_map):
         return False
     dst_edges = set(h_dst.edges)
     return all(e in dst_edges for e in result.hypergraph.edges)
-
-
-@dataclass(frozen=True)
-class SubadditiveSplit:
-    """Witness that H_n is a vertex grouping of nu copies of H_{n0} plus a
-    remainder patch with r edges. Documentation of the family's
-    subadditivity; not used in any bound computation."""
-
-    nu: int
-    r: int
-    union: Hypergraph
-    grouping: GroupingMap
-
-
-def subadditive_split(family, n, n0=None):
-    """Split H_n into nu disjoint copies of H_{n0} plus an r-edge remainder.
-
-    The returned grouping folds the disjoint union back onto H_n exactly
-    (same edge list, in order). Disjoint and Strassen split at any n0; the
-    triangular family splits star by star (n0 = 6) and the kagome family
-    bowtie by bowtie (n0 = 2), with the remainder the trailing partial
-    group relabeled as a standalone patch.
-    """
-    if family in ("Disjoint", "Strassen"):
-        if n0 is None or not (1 <= n0 <= n):
-            raise ValueError("Disjoint/Strassen splits need 1 <= n0 <= n")
-    elif family == "Triangular":
-        if n0 is None:
-            n0 = 6
-        if n0 != 6:
-            raise ValueError("the triangular family splits into 6-face stars")
-    elif family == "Kagome":
-        if n0 is None:
-            n0 = 2
-        if n0 != 2:
-            raise ValueError("the kagome family splits into 2-face bowties")
-    else:
-        raise ValueError(f"no subadditive split for family {family!r}")
-    target = make_family(family, n)
-    nu, r = divmod(n, n0)
-    piece = make_family(family, n0)
-    union_edges = []
-    mapping = []
-    offset = 0
-    for copy in range(nu):
-        # copy c of H_{n0} covers target edges [c*n0, (c+1)*n0); local
-        # vertices map to the target vertices in the matching positions
-        local_to_target = {}
-        for e_local, e_target in zip(piece.edges, target.edges[copy * n0 : (copy + 1) * n0]):
-            for v_local, v_target in zip(e_local, e_target):
-                prev = local_to_target.setdefault(v_local, v_target)
-                if prev != v_target:
-                    raise AssertionError("family patch is not translation consistent")
-        union_edges.extend(
-            tuple(v + offset for v in e) for e in piece.edges
-        )
-        mapping.extend(local_to_target[v] for v in range(piece.n_vertices))
-        offset += piece.n_vertices
-    if r:
-        tail = target.edges[nu * n0 :]
-        relabel = {}
-        for e in tail:
-            for v in e:
-                relabel.setdefault(v, len(relabel) + offset)
-        union_edges.extend(tuple(relabel[v] for v in e) for e in tail)
-        back = {new: old for old, new in relabel.items()}
-        mapping.extend(back[offset + i] for i in range(len(relabel)))
-        offset += len(relabel)
-    union = Hypergraph(offset, union_edges, uniformity=target.uniformity)
-    grouping = GroupingMap(tuple(mapping), target.n_vertices)
-    result = fold(union, grouping)
-    if result.hypergraph != target:
-        raise AssertionError("subadditive split failed to reproduce the patch")
-    return SubadditiveSplit(nu=nu, r=r, union=union, grouping=grouping)
 
 
 def fold_to_fan(family, n):

@@ -202,12 +202,21 @@ def dumps_compact(obj):
     return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
-def load_path(path):
+def loads(data, where):
+    """The JSON value of ``data``: text, or UTF-8 bytes, read from ``where``.
+
+    Bytes that are not UTF-8, text that is not JSON, and nesting deeper than
+    the interpreter's recursion limit raise FormatError naming ``where``.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise FormatError(f"{path}: {exc}") from exc
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
+def load_path(path):
+    with open(path, "rb") as fh:
+        return loads(fh.read(), path)
 
 
 def dump_path(path, obj):

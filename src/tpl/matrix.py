@@ -37,28 +37,9 @@ class Matrix(Tensor):
         return self.dims[1]
 
     @classmethod
-    def from_rows(cls, data, domain=RATIONAL):
-        """Build from a dense list of row lists of raw values."""
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(data):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                v = scalars.coerce(domain, v)
-                if v:
-                    entries[(i, j)] = v
-        return cls(rows, cols, entries, domain)
-
-    @classmethod
     def identity(cls, n, domain=RATIONAL):
         one = scalars.one(domain)
         return cls(n, n, {(i, i): one for i in range(n)}, domain)
-
-    @classmethod
-    def zeros(cls, rows, cols, domain=RATIONAL):
-        return cls(rows, cols, {}, domain)
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {len(self.entries)} nnz, {self.domain})"
@@ -92,15 +73,6 @@ class Matrix(Tensor):
     def kron(self, other):
         """Kronecker product with row-major index packing on both sides."""
         return _matrix(kron(self, other))
-
-    def map_values(self, fn, domain=None):
-        domain = domain or self.domain
-        out = {}
-        for ij, v in self.entries.items():
-            w = fn(v)
-            if w:
-                out[ij] = w
-        return Matrix(self.rows, self.cols, out, domain)
 
     def eval_eps(self, point):
         """Evaluate an eps-domain matrix at an exact point (int, Fraction or QC).

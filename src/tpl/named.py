@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .scalars import QC_ONE, RATIONAL
+from .scalars import QC_ONE, RATIONAL, check_ints
 from .tensor import Tensor
 
 NAMES = ("GHZ", "W", "EPR", "MaMu", "CW", "Unit")
@@ -85,18 +85,19 @@ class NamedTensorSpec:
 
 
 def make_named(spec):
-    """Build the tensor a NamedTensorSpec describes."""
+    """Build the tensor a NamedTensorSpec describes; every parameter must be an int."""
     p = spec.params
+    check_ints(p.values(), f"{spec.name} parameters")
     if spec.name == "GHZ":
-        return ghz(int(p["r"]), int(p.get("k", 3)))
+        return ghz(p["r"], p.get("k", 3))
     if spec.name == "Unit":
-        return unit(int(p["r"]), int(p.get("k", 3)))
+        return unit(p["r"], p.get("k", 3))
     if spec.name == "W":
         return w_state()
     if spec.name == "EPR":
-        return epr(int(p["d"]))
+        return epr(p["d"])
     if spec.name == "MaMu":
-        return mamu(int(p["d"]))
+        return mamu(p["d"])
     if spec.name == "CW":
-        return cw(int(p["q"]))
+        return cw(p["q"])
     raise ValueError(f"unknown tensor name {spec.name!r}")

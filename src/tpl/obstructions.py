@@ -67,6 +67,7 @@ class KoszulSpec:
     p: int
 
     def __post_init__(self):
+        scalars.check_ints((self.d3, self.p), "Koszul d3 and p")
         if self.d3 < 1:
             raise ValueError("d3 must be positive")
         if not (0 <= self.p <= self.d3 - 1):
@@ -126,38 +127,6 @@ def koszul_flatten(t, spec):
             else:
                 entries.pop(key, None)
     return _tensor((d1 * n_rows, d2 * n_cols), entries, t.domain, Matrix)
-
-
-def wedge_power_matrix(g, p):
-    """Exact p-th wedge power of a rational matrix: minors det(g[T, S])."""
-    if g.domain != RATIONAL:
-        raise ValueError("wedge power needs a rational matrix")
-    rows_subs, _ = _subset_index(g.rows, p)
-    cols_subs, _ = _subset_index(g.cols, p)
-    entries = {}
-    for i, trows in enumerate(rows_subs):
-        for j, tcols in enumerate(cols_subs):
-            d = _minor_det(g, trows, tcols)
-            if d:
-                entries[(i, j)] = d
-    return Matrix(len(rows_subs), len(cols_subs), entries, RATIONAL)
-
-
-def _minor_det(g, rows, cols):
-    n = len(rows)
-    if n == 0:
-        return QC(1)
-    if n == 1:
-        return g.get(rows[0], cols[0])
-    acc = scalars.QC_ZERO
-    for i, r in enumerate(rows):
-        v = g.get(r, cols[0])
-        if not v:
-            continue
-        sub = _minor_det(g, rows[:i] + rows[i + 1 :], cols[1:])
-        term = v * sub
-        acc = acc + term if i % 2 == 0 else acc - term
-    return acc
 
 
 def max_simple_koszul_rank(spec, trials=64, seed=0):

@@ -17,10 +17,9 @@ from fractions import Fraction
 
 from . import scalars
 from .matrix import Matrix, flatten, rank
-from .named import ghz, w_state
 from .obstructions import hyperdeterminant_222
 from .scalars import EPS, RATIONAL, QC
-from .tensor import Tensor, _tensor, apply_product_map, check_dense_size, direct_sum_many
+from .tensor import _tensor, apply_product_map, check_dense_size, direct_sum_many
 
 
 class CertificateError(ValueError):
@@ -121,10 +120,6 @@ def compose_restrictions(cert_outer, cert_inner):
     return RestrictionCertificate(
         tuple(mi @ mo for mo, mi in zip(cert_outer.maps, cert_inner.maps))
     )
-
-
-def identity_certificate(t):
-    return RestrictionCertificate(tuple(Matrix.identity(d) for d in t.dims))
 
 
 def interpolate(t, target, degcert):
@@ -262,25 +257,6 @@ def decide_222(t, target, mode="restriction"):
     dst = classify_222(target)
     poset = RESTRICTION_POSET if mode == "restriction" else DEGENERATION_POSET
     return dst in poset[src]
-
-
-def representative_222(cls):
-    """Canonical representative tensor of each 2x2x2 orbit."""
-    if cls is _C.ZERO:
-        return Tensor((2, 2, 2), {}, RATIONAL)
-    if cls is _C.PRODUCT:
-        return Tensor((2, 2, 2), {(0, 0, 0): scalars.QC_ONE}, RATIONAL)
-    if cls is _C.EPR_12:
-        return Tensor((2, 2, 2), {(0, 0, 0): scalars.QC_ONE, (1, 1, 0): scalars.QC_ONE}, RATIONAL)
-    if cls is _C.EPR_13:
-        return Tensor((2, 2, 2), {(0, 0, 0): scalars.QC_ONE, (1, 0, 1): scalars.QC_ONE}, RATIONAL)
-    if cls is _C.EPR_23:
-        return Tensor((2, 2, 2), {(0, 0, 0): scalars.QC_ONE, (0, 1, 1): scalars.QC_ONE}, RATIONAL)
-    if cls is _C.W:
-        return w_state()
-    if cls is _C.GHZ:
-        return ghz(2)
-    raise ValueError(f"unknown orbit class {cls!r}")
 
 
 def rank_222(t):

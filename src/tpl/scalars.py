@@ -150,9 +150,6 @@ class QC:
     def __sub__(self, other):
         return self + (-QC.coerce(other))
 
-    def __rsub__(self, other):
-        return QC.coerce(other) + (-self)
-
     def __mul__(self, other):
         if type(other) is not QC:
             other = QC.coerce(other)
@@ -292,16 +289,6 @@ class EpsPoly:
         return _eps(out)
 
     __rmul__ = __mul__
-
-    def min_degree(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no degree")
-        return min(self.coeffs)
-
-    def max_degree(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no degree")
-        return max(self.coeffs)
 
     def coefficient(self, degree):
         return self.coeffs.get(degree, QC_ZERO)

@@ -18,6 +18,18 @@ from .matrix import Matrix
 from .preorder import RestrictionCertificate, verify_restriction
 from .scalars import RATIONAL, QC
 
+# Polishing runs at these fixed settings: rationals with denominators up to
+# MAX_DENOMINATOR, masked ALS runs of at most ALS_ITERS sweeps that count as
+# converged at residual POLISH_TOL and check the residual every CHECK_EVERY
+# sweeps, and backtracking over the ENTRY_TRIES closest free entries with
+# CANDIDATE_TRIES rational candidates each.
+MAX_DENOMINATOR = 4
+ALS_ITERS = 2500
+POLISH_TOL = 1e-18
+CHECK_EVERY = 10
+ENTRY_TRIES = 8
+CANDIDATE_TRIES = 3
+
 
 def heuristic_restriction_search(t, target, iterations=200, tol=1e-12, restarts=50, seed=0):
     """Alternating least squares over the factor maps.
@@ -101,7 +113,7 @@ def _rationalize(arrays, q):
     return RestrictionCertificate(tuple(out))
 
 
-def _masked_als(t_np, target_np, maps, frozen, max_iters, tol, check_every=10):
+def _masked_als(t_np, target_np, maps, frozen):
     """ALS over the factor maps with individual entries held fixed.
 
     Stops early on convergence or when the residual plateaus above the
@@ -110,7 +122,7 @@ def _masked_als(t_np, target_np, maps, frozen, max_iters, tol, check_every=10):
     k = t_np.ndim
     res = _residual(t_np, target_np, maps)
     stalls = 0
-    for it in range(max_iters):
+    for it in range(ALS_ITERS):
         for j in range(k):
             partial = _apply_maps_np(t_np, maps, skip=j)
             a = np.moveaxis(partial, j, 0).reshape(t_np.shape[j], -1)
@@ -123,9 +135,9 @@ def _masked_als(t_np, target_np, maps, frozen, max_iters, tol, check_every=10):
                 rhs = b[r] - maps[j][r, fixed] @ a[fixed, :]
                 sol, *_ = np.linalg.lstsq(a[free, :].T, rhs, rcond=None)
                 maps[j][r, free] = sol
-        if it % check_every == check_every - 1 or it == max_iters - 1:
+        if it % CHECK_EVERY == CHECK_EVERY - 1 or it == ALS_ITERS - 1:
             new_res = _residual(t_np, target_np, maps)
-            if new_res <= tol:
+            if new_res <= POLISH_TOL:
                 return new_res
             if new_res > res * 0.9:
                 stalls += 1
@@ -137,9 +149,9 @@ def _masked_als(t_np, target_np, maps, frozen, max_iters, tol, check_every=10):
     return res
 
 
-def _rational_candidates(v, max_denominator, count=3):
+def _rational_candidates(v):
     seen = {}
-    for q in range(1, max_denominator + 1):
+    for q in range(1, MAX_DENOMINATOR + 1):
         re = Fraction(v.real).limit_denominator(q)
         im = Fraction(v.imag).limit_denominator(q)
         cand = QC(re, im)
@@ -148,27 +160,18 @@ def _rational_candidates(v, max_denominator, count=3):
         if key not in seen or dist < seen[key][0]:
             seen[key] = (dist, cand)
     ranked = sorted(seen.values(), key=lambda x: x[0])
-    return [c for _, c in ranked[:count]]
+    return [c for _, c in ranked[:CANDIDATE_TRIES]]
 
 
-def _try_round_all(t, target, maps, max_denominator):
-    for q in (1, 2, max_denominator):
+def _try_round_all(t, target, maps):
+    for q in (1, 2, MAX_DENOMINATOR):
         cert = _rationalize(maps, q)
         if verify_restriction(t, target, cert):
             return cert
     return None
 
 
-def polish_rational_certificate(
-    t,
-    target,
-    float_maps,
-    max_denominator=4,
-    als_iters=2500,
-    tol=1e-18,
-    entry_tries=8,
-    candidate_tries=3,
-):
+def polish_rational_certificate(t, target, float_maps):
     """Drag a numerically exact certificate onto a rational point.
 
     Repeatedly pins the free map entry closest to a small rational and
@@ -184,12 +187,12 @@ def polish_rational_certificate(
     maps = [np.array(m, dtype=complex) for m in float_maps]
     frozen = [np.zeros(m.shape, dtype=bool) for m in maps]
     pinned = [{} for _ in maps]
-    res = _masked_als(t_np, target_np, maps, frozen, als_iters, tol)
-    if res > tol:
+    res = _masked_als(t_np, target_np, maps, frozen)
+    if res > POLISH_TOL:
         return None
     total = sum(m.size for m in maps)
     for _step in range(total):
-        cert = _try_round_all(t, target, maps, max_denominator)
+        cert = _try_round_all(t, target, maps)
         if cert is not None:
             return cert
         options = []
@@ -197,7 +200,7 @@ def polish_rational_certificate(
             # tolist() gives Python ints, which the certificate's Matrix requires
             for r, c in np.argwhere(~frozen[j]).tolist():
                 v = complex(m[r, c])
-                cands = _rational_candidates(v, max_denominator, candidate_tries)
+                cands = _rational_candidates(v)
                 if cands:
                     dist = abs(v - cands[0].to_complex())
                     options.append((dist, j, r, c, cands))
@@ -206,20 +209,20 @@ def polish_rational_certificate(
         options.sort(key=lambda o: o[0])
         committed = False
         rng = np.random.default_rng(len(options))
-        for _dist, j, r, c, cands in options[:entry_tries]:
+        for _dist, j, r, c, cands in options[:ENTRY_TRIES]:
             saved = [m.copy() for m in maps]
             for cand in cands:
                 maps[j][r, c] = cand.to_complex()
                 frozen[j][r, c] = True
-                res = _masked_als(t_np, target_np, maps, frozen, als_iters, tol)
-                if res > tol:
+                res = _masked_als(t_np, target_np, maps, frozen)
+                if res > POLISH_TOL:
                     # local recovery failed; retry once from a fresh start of
                     # the free entries, keeping everything pinned so far
                     for jj, m in enumerate(maps):
                         fr = frozen[jj]
                         m[~fr] = rng.standard_normal(int((~fr).sum()))
-                    res = _masked_als(t_np, target_np, maps, frozen, als_iters, tol)
-                if res <= tol:
+                    res = _masked_als(t_np, target_np, maps, frozen)
+                if res <= POLISH_TOL:
                     pinned[j][(r, c)] = cand
                     committed = True
                     break

@@ -79,9 +79,6 @@ class GroupingSpec:
     def positions(self):
         return [p for b in self.blocks for p in b]
 
-    def __eq__(self, other):
-        return isinstance(other, GroupingSpec) and self.blocks == other.blocks
-
     def __repr__(self):
         return f"GroupingSpec({list(self.blocks)})"
 
@@ -236,13 +233,8 @@ def group(t, spec):
     return _tensor(dims, entries, t.domain)
 
 
-def tensor_product(t, u, spec=None):
-    """Tensor product of t and u, regrouped by ``spec``.
-
-    Without a spec (the default) this is the plain product of order
-    k + k'; with :meth:`GroupingSpec.kron_pairing` it is the Kronecker
-    product that keeps the order.
-    """
+def tensor_product(t, u):
+    """Tensor product of t and u, of order k + k': t's factors, then u's."""
     if t.domain != u.domain:
         raise ValueError(f"domain mismatch: {t.domain} vs {u.domain}")
     dims = t.dims + u.dims
@@ -252,16 +244,13 @@ def tensor_product(t, u, spec=None):
             w = vt * vu
             if w:  # a float product can underflow to zero
                 entries[it + iu] = w
-    full = _tensor(dims, entries, t.domain)
-    if spec is None:
-        return full
-    return group(full, spec)
+    return _tensor(dims, entries, t.domain)
 
 
 def kron(t, u):
     """Kronecker product (same order, factorwise pairing, row-major packing)."""
     _check_same_order_domain(t, u)
-    return tensor_product(t, u, GroupingSpec.kron_pairing(t.order))
+    return group(tensor_product(t, u), GroupingSpec.kron_pairing(t.order))
 
 
 def kron_power(t, n):
@@ -281,20 +270,11 @@ def permute_factors(t, perm):
     return group(t, GroupingSpec([(p,) for p in perm]))
 
 
-def support_per_factor(t):
-    """For each factor, the sorted list of indices that occur in some entry."""
-    used = [set() for _ in range(t.order)]
-    for idx in t.entries:
-        for j, i in enumerate(idx):
-            used[j].add(i)
-    return [sorted(u) for u in used]
-
-
 def strip_padding(t):
     """Delete all-zero slices on every factor and compact the indices."""
-    used = support_per_factor(t)
     if t.is_zero():
         return _tensor((1,) * t.order, {}, t.domain)
+    used = [sorted(set(column)) for column in zip(*t.entries)]
     remap = [{i: n for n, i in enumerate(u)} for u in used]
     dims = tuple(len(u) for u in used)
     entries = {

@@ -40,7 +40,6 @@ from tpl.preorder import (
     decide_222,
     interpolate,
     rank_222,
-    representative_222,
     subrank_222,
     verify_restriction,
 )
@@ -85,7 +84,7 @@ def test_criterion_1_orbit_suite():
     with Budget("1 (2x2x2 orbit suite)", 5.0):
         rng = random.Random(20260101)
         for cls in OrbitClass222:
-            rep = representative_222(cls)
+            rep = util.representative_222(cls)
             assert classify_222(rep) is cls
             for _ in range(100):
                 maps = [util.random_invertible(rng, 2) for _ in range(3)]
@@ -186,8 +185,6 @@ def test_criterion_4_koszul_suite():
                 hits += 1
         assert hits >= 19
 
-        from tpl.obstructions import wedge_power_matrix
-
         for trial in range(50):
             t = util.random_rational_tensor(rng, (3, 3, 3), density=0.5)
             if trial % 2 == 0:
@@ -202,8 +199,8 @@ def test_criterion_4_koszul_suite():
                 g = Matrix(3, 3, {(perm[i], i): QC(1) for i in range(3)})
             moved = apply_product_map([Matrix.identity(3), Matrix.identity(3), g], t)
             # F(g t) (1 (x) wedge^1 g) == (1 (x) wedge^2 g) F(t); g is invertible.
-            a_g = wedge_power_matrix(g, 2)
-            b_g = wedge_power_matrix(g, 1)
+            a_g = util.wedge_power_matrix(g, 2)
+            b_g = util.wedge_power_matrix(g, 1)
             lhs = koszul_flatten(moved, spec) @ Matrix.identity(3).kron(b_g)
             rhs = Matrix.identity(3).kron(a_g) @ koszul_flatten(t, spec)
             assert lhs == rhs

@@ -6,6 +6,7 @@ bool or a numpy integer is refused, never truncated, so no input is read
 as a different one.
 """
 
+import io
 import json
 
 import numpy as np
@@ -15,9 +16,10 @@ from test_preorder import w_border_cert
 from tpl import jsonio
 from tpl.catalog import Catalog
 from tpl.cli import main
-from tpl.hypergraph import GroupingMap, Hypergraph
+from tpl.hypergraph import GroupingMap, Hypergraph, make_family
 from tpl.matrix import Matrix
-from tpl.named import ghz, w_state
+from tpl.named import NamedTensorSpec, ghz, make_named, w_state
+from tpl.obstructions import KoszulSpec
 from tpl.preorder import CertificateError, DegenerationCertificate
 from tpl.scalars import EPS, EpsPoly, QC, parse_int
 from tpl.tensor import GroupingSpec, Tensor
@@ -171,3 +173,56 @@ def test_catalog_put_refuses_a_float_declared_degree(capsys, tmp_path):
     assert (code, out) == (1, "")
     assert err.startswith("tpl: ") and err.count("\n") == 1
     assert not cat.exists()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        NamedTensorSpec("GHZ", {"r": 2.5, "k": 3.7}),
+        NamedTensorSpec("GHZ", {"r": True}),
+        NamedTensorSpec("MaMu", {"d": 2.9}),
+        NamedTensorSpec("CW", {"q": np.int64(2)}),
+    ],
+)
+def test_make_named_refuses_non_int_parameters(spec):
+    with pytest.raises(ValueError, match="parameters must be ints"):
+        make_named(spec)
+
+
+@pytest.mark.parametrize("n, k", [(True, 3), (2.0, 3), (2, 3.0)])
+def test_make_family_refuses_non_int_size_and_uniformity(n, k):
+    with pytest.raises(ValueError, match="must be ints"):
+        make_family("Fan", n, k)
+
+
+@pytest.mark.parametrize("d3, p", [(True, 0), (3, 1.5), (3.0, 1)])
+def test_koszul_spec_refuses_non_int_parameters(d3, p):
+    with pytest.raises(ValueError, match="must be ints"):
+        KoszulSpec(d3, p)
+
+
+DEEP_JSON = "[" * 200_000
+
+
+@pytest.mark.parametrize("source", ["file", "stdin", "catalog"])
+def test_deeply_nested_json_is_one_error_line(capsys, monkeypatch, tmp_path, source):
+    if source == "file":
+        argv = ["classify", "--tensor", _write_text(tmp_path, "deep.json", DEEP_JSON)]
+    elif source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.StringIO(DEEP_JSON))
+        argv = ["classify"]
+    else:
+        _write(tmp_path, "manifest.json", {"entries": ["deep"]})
+        _write_text(tmp_path, "deep.json", DEEP_JSON)
+        argv = ["catalog", "get", "--catalog", str(tmp_path), "--id", "deep"]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("tpl: ") and err.count("\n") == 1
+    assert "recursion" in err
+
+
+def _write_text(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)

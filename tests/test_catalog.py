@@ -15,7 +15,6 @@ from tpl.catalog import (
     decomposition_tensor,
     entry_from_json,
     entry_to_json,
-    term_tensor,
     verify_entry,
 )
 from tpl.matrix import Matrix
@@ -59,7 +58,7 @@ def test_epr_is_two_factor_ghz():
 
 def test_term_tensor_outer_product():
     term = [[QC(1), QC(2)], [QC(0), QC(1)]]
-    t = term_tensor((2, 2), term)
+    t = decomposition_tensor((2, 2), [term])
     assert t.entries == {(0, 1): QC(1), (1, 1): QC(2)}
 
 

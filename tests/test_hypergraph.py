@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 import util
+from tpl.cli import main
 from tpl.hypergraph import (
     GroupingMap,
     Hypergraph,
@@ -19,7 +20,7 @@ from tpl.hypergraph import (
 )
 from tpl.named import epr, ghz, mamu, w_state
 from tpl.scalars import QC
-from tpl.tensor import StructureTooLarge, Tensor, group, kron_power
+from tpl.tensor import DENSE_ENTRY_GUARD, StructureTooLarge, Tensor, group, kron_power
 
 
 def test_hypergraph_validation():
@@ -152,6 +153,20 @@ def test_build_structure_entry_guard(monkeypatch):
         build_structure(h, ghz(3))
 
 
+def test_make_family_size_guard(capsys, monkeypatch):
+    # n above the guard is refused before any patch is built
+    def no_patch(n):
+        raise AssertionError("the guard let the patch be built")
+
+    monkeypatch.setattr("tpl.hypergraph._triangular_patch", no_patch)
+    n = DENSE_ENTRY_GUARD + 1
+    with pytest.raises(StructureTooLarge, match="guard"):
+        make_family("Triangular", n)
+    assert main(["hypergraph", "--family", "Triangular", "--n", str(n)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("tpl: ") and err.count("\n") == 1
+
+
 def test_structure_dims():
     # two ring faces share an edge of the lattice: 4 vertices, two of degree 2
     tri = make_family("Triangular", 2)
@@ -247,8 +262,6 @@ def test_fold_to_fan_incomplete_patch_rejected():
 
 def test_subadditive_split_reproduces_patch():
     # the split's own fold check is exercised here across families and sizes
-    from tpl.hypergraph import subadditive_split
-
     for family, n, n0 in [
         ("Disjoint", 10, 3),
         ("Strassen", 9, 4),
@@ -256,7 +269,7 @@ def test_subadditive_split_reproduces_patch():
         ("Triangular", 14, None),
         ("Kagome", 7, None),
     ]:
-        split = subadditive_split(family, n, n0)
+        split = util.subadditive_split(family, n, n0)
         expected_n0 = {"Triangular": 6, "Kagome": 2}.get(family, n0)
         assert split.nu == n // expected_n0
         assert split.r == n % expected_n0
@@ -264,12 +277,10 @@ def test_subadditive_split_reproduces_patch():
 
 
 def test_subadditive_split_rejects_bad_piece():
-    from tpl.hypergraph import subadditive_split
-
     with pytest.raises(ValueError):
-        subadditive_split("Triangular", 12, 7)
+        util.subadditive_split("Triangular", 12, 7)
     with pytest.raises(ValueError):
-        subadditive_split("Fan", 4, 2)
+        util.subadditive_split("Fan", 4, 2)
 
 
 def test_grouping_map_validation():

@@ -53,7 +53,7 @@ def test_tensor_json_shape_checks():
 def test_matrix_round_trip():
     from fractions import Fraction
 
-    m = Matrix.from_rows([[1, 0], [Fraction(1, 2), -2]])
+    m = util.matrix_from_rows([[1, 0], [Fraction(1, 2), -2]])
     back = jsonio.matrix_from_json(jsonio.matrix_to_json(m))
     assert back == m
 

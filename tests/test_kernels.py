@@ -160,7 +160,7 @@ def test_product_map_drops_cancelling_entries_and_empty_columns():
     # Entries 1 and -1 land on the same index after mode 0 and cancel; the
     # mode-1 column 1 is empty, so entry (0, 1) contributes nothing.
     t = Tensor((2, 2), {(0, 0): QC(1), (1, 0): QC(-1), (0, 1): QC(5)})
-    maps = [Matrix.from_rows([[1, 1]]), Matrix.from_rows([[1, 0], [2, 0]])]
+    maps = [util.matrix_from_rows([[1, 1]]), util.matrix_from_rows([[1, 0], [2, 0]])]
     out = apply_product_map(maps, t)
     assert out == util.apply_product_map_kfold(maps, t)
     assert out.dims == (1, 2) and out.is_zero()
@@ -278,7 +278,7 @@ def test_eval_eps_matches_termwise_sum(case):
     m, x = case
     expected = {ij: termwise(p, x) for ij, p in m.entries.items()}
     assert m.eval_eps(x) == Matrix(m.rows, m.cols, expected)
-    assert m.eval_eps(x) == m.map_values(lambda p: p.eval(x), RATIONAL)
+    assert m.eval_eps(x) == Matrix(m.rows, m.cols, {ij: p.eval(x) for ij, p in m.entries.items()})
 
 
 def test_eval_eps_at_zero():
@@ -330,7 +330,8 @@ def kernel_outputs(draw):
         return permute_factors(t, perm)
     if kernel == "tensor_product":
         u = draw(tensors(order, domain))
-        return tensor_product(t, u, GroupingSpec.kron_pairing(order) if draw(st.booleans()) else None)
+        full = tensor_product(t, u)
+        return group(full, GroupingSpec.kron_pairing(order)) if draw(st.booleans()) else full
     return strip_padding(t)
 
 

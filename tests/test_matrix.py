@@ -55,7 +55,7 @@ def test_flatten_matches_numpy_for_every_left_set(dims):
 
 
 def test_kernels_return_matrices_that_pass_the_checked_constructor():
-    m = Matrix.from_rows([[1, 2], [0, -1]])
+    m = util.matrix_from_rows([[1, 2], [0, -1]])
     eps_m = w_border_cert().maps[0]
     outputs = [
         m.to_eps(), m.to_float(), eps_m.eval_eps(3), m.kron(m), m @ m,

@@ -16,7 +16,6 @@ from tpl.obstructions import (
     koszul_flatten,
     max_simple_koszul_rank,
     quantum_functional_point,
-    wedge_power_matrix,
 )
 from tpl.scalars import QC
 from tpl.tensor import Tensor, apply_product_map, kron, permute_factors
@@ -132,8 +131,8 @@ def test_koszul_covariance_diagonal_and_permutation():
             rng.shuffle(perm)
             g = Matrix(3, 3, {(perm[i], i): QC(1) for i in range(3)})
         moved = apply_product_map([Matrix.identity(d1), Matrix.identity(d2), g], t)
-        a_g = wedge_power_matrix(g, spec.p + 1)
-        b_g = wedge_power_matrix(g, spec.p)
+        a_g = util.wedge_power_matrix(g, spec.p + 1)
+        b_g = util.wedge_power_matrix(g, spec.p)
         lhs = koszul_flatten(moved, spec) @ Matrix.identity(d2).kron(b_g)
         rhs = Matrix.identity(d1).kron(a_g) @ koszul_flatten(t, spec)
         assert lhs == rhs

@@ -34,7 +34,7 @@ def test_als_finds_w_to_epr():
         w_state(), epr_12(), iterations=200, restarts=20, seed=1
     )
     assert residual <= 1e-12
-    cert = polish_rational_certificate(w_state(), epr_12(), maps, max_denominator=4)
+    cert = polish_rational_certificate(w_state(), epr_12(), maps)
     assert cert is not None
     assert verify_restriction(w_state(), epr_12(), cert)
 
@@ -50,14 +50,14 @@ def test_als_ghz2_to_w_stays_away_from_zero():
 
 def test_rational_candidates_nearest_first_and_distinct():
     # Bounds 1..4 give (0, 0), (1/2, 1/2), (1/3, 1/2), (1/4, 1/2).
-    assert _rational_candidates(0.26 + 0.49j, 4) == [
+    assert _rational_candidates(0.26 + 0.49j) == [
         QC(Fraction(1, 4), Fraction(1, 2)),
         QC(Fraction(1, 3), Fraction(1, 2)),
         QC(Fraction(1, 2), Fraction(1, 2)),
     ]
-    assert _rational_candidates(-0.74 + 0j, 4, count=2) == [QC(Fraction(-3, 4)), QC(Fraction(-2, 3))]
+    assert _rational_candidates(-0.74 + 0j)[:2] == [QC(Fraction(-3, 4)), QC(Fraction(-2, 3))]
     # Every bound rounds 1.0 to 1, so one candidate remains.
-    assert _rational_candidates(1.0 + 0j, 4) == [QC(1)]
+    assert _rational_candidates(1.0 + 0j) == [QC(1)]
 
 
 def test_polish_pins_entries_when_rounding_fails():
@@ -68,8 +68,8 @@ def test_polish_pins_entries_when_rounding_fails():
     )
     assert residual <= 1e-12
     assert all(isinstance(m, np.ndarray) for m in maps)
-    assert _try_round_all(ghz(2), epr_12(), maps, 4) is None
-    cert = polish_rational_certificate(ghz(2), epr_12(), maps, max_denominator=4)
+    assert _try_round_all(ghz(2), epr_12(), maps) is None
+    cert = polish_rational_certificate(ghz(2), epr_12(), maps)
     assert cert is None or verify_restriction(ghz(2), epr_12(), cert)
 
 

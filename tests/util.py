@@ -10,18 +10,27 @@ k-fold product of map columns, independent of the mode-wise contraction.
 packs each vertex index by hand, independent of the grouped tensor
 product; :func:`decomposition_ref` sums each term's outer product over
 every index, independent of the restriction from the unit tensor.
+
+The rest are test-only builders and oracles: :func:`matrix_from_rows`,
+:func:`representative_222` (one tensor per 2x2x2 orbit),
+:func:`wedge_power_matrix` (the Koszul covariance oracle, minors by
+:func:`_det`) and :func:`subadditive_split` (the families'
+subadditivity, witnessed by a fold).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
 
-from tpl.hypergraph import resolve_assignment
+from tpl import scalars
+from tpl.hypergraph import GroupingMap, Hypergraph, fold, make_family, resolve_assignment
 from tpl.matrix import Matrix
+from tpl.preorder import OrbitClass222
 from tpl.scalars import QC, RATIONAL
 from tpl.tensor import Tensor
 
@@ -40,6 +49,8 @@ def rank_by_minors(m):
 
 def _det(a):
     n = len(a)
+    if n == 0:
+        return QC(1)
     if n == 1:
         return a[0][0]
     acc = QC(0)
@@ -183,3 +194,113 @@ def decomposition_ref(dims, terms):
                 v = v * vec[i]
             acc[idx] = acc.get(idx, QC(0)) + v
     return Tensor(dims, {i: v for i, v in acc.items() if v}, RATIONAL)
+
+
+def matrix_from_rows(data, domain=RATIONAL):
+    """Matrix from a dense list of equal-length rows of raw values."""
+    entries = {}
+    for i, row in enumerate(data):
+        if len(row) != len(data[0]):
+            raise ValueError("ragged rows")
+        for j, v in enumerate(row):
+            entries[(i, j)] = scalars.coerce(domain, v)
+    return Matrix(len(data), len(data[0]) if data else 0, entries, domain)
+
+
+# The index lists of the 0/1 representatives of the 2x2x2 orbits.
+_REPRESENTATIVES_222 = {
+    OrbitClass222.ZERO: [],
+    OrbitClass222.PRODUCT: [(0, 0, 0)],
+    OrbitClass222.EPR_12: [(0, 0, 0), (1, 1, 0)],
+    OrbitClass222.EPR_13: [(0, 0, 0), (1, 0, 1)],
+    OrbitClass222.EPR_23: [(0, 0, 0), (0, 1, 1)],
+    OrbitClass222.W: [(0, 0, 1), (0, 1, 0), (1, 0, 0)],
+    OrbitClass222.GHZ: [(0, 0, 0), (1, 1, 1)],
+}
+
+
+def representative_222(cls):
+    """Canonical representative tensor of one 2x2x2 orbit."""
+    return Tensor((2, 2, 2), {idx: QC(1) for idx in _REPRESENTATIVES_222[cls]}, RATIONAL)
+
+
+def wedge_power_matrix(g, p):
+    """Exact p-th wedge power of a rational matrix: minors det(g[T, S]), subsets in lex order."""
+    rows = list(combinations(range(g.rows), p))
+    cols = list(combinations(range(g.cols), p))
+    entries = {
+        (i, j): _det([[g.get(r, c) for c in tcols] for r in trows])
+        for i, trows in enumerate(rows)
+        for j, tcols in enumerate(cols)
+    }
+    return Matrix(len(rows), len(cols), entries, RATIONAL)
+
+
+@dataclass(frozen=True)
+class SubadditiveSplit:
+    """Witness that H_n is a vertex grouping of nu copies of H_{n0} plus a
+    remainder patch with r edges: the families' subadditivity."""
+
+    nu: int
+    r: int
+    union: Hypergraph
+    grouping: GroupingMap
+
+
+def subadditive_split(family, n, n0=None):
+    """Split H_n into nu disjoint copies of H_{n0} plus an r-edge remainder.
+
+    The returned grouping folds the disjoint union back onto H_n exactly
+    (same edge list, in order). Disjoint and Strassen split at any n0; the
+    triangular family splits star by star (n0 = 6) and the kagome family
+    bowtie by bowtie (n0 = 2), with the remainder the trailing partial
+    group relabeled as a standalone patch.
+    """
+    if family in ("Disjoint", "Strassen"):
+        if n0 is None or not (1 <= n0 <= n):
+            raise ValueError("Disjoint/Strassen splits need 1 <= n0 <= n")
+    elif family == "Triangular":
+        if n0 is None:
+            n0 = 6
+        if n0 != 6:
+            raise ValueError("the triangular family splits into 6-face stars")
+    elif family == "Kagome":
+        if n0 is None:
+            n0 = 2
+        if n0 != 2:
+            raise ValueError("the kagome family splits into 2-face bowties")
+    else:
+        raise ValueError(f"no subadditive split for family {family!r}")
+    target = make_family(family, n)
+    nu, r = divmod(n, n0)
+    piece = make_family(family, n0)
+    union_edges = []
+    mapping = []
+    offset = 0
+    for copy in range(nu):
+        # copy c of H_{n0} covers target edges [c*n0, (c+1)*n0); local
+        # vertices map to the target vertices in the matching positions
+        local_to_target = {}
+        for e_local, e_target in zip(piece.edges, target.edges[copy * n0 : (copy + 1) * n0]):
+            for v_local, v_target in zip(e_local, e_target):
+                prev = local_to_target.setdefault(v_local, v_target)
+                if prev != v_target:
+                    raise AssertionError("family patch is not translation consistent")
+        union_edges.extend(tuple(v + offset for v in e) for e in piece.edges)
+        mapping.extend(local_to_target[v] for v in range(piece.n_vertices))
+        offset += piece.n_vertices
+    if r:
+        tail = target.edges[nu * n0 :]
+        relabel = {}
+        for e in tail:
+            for v in e:
+                relabel.setdefault(v, len(relabel) + offset)
+        union_edges.extend(tuple(relabel[v] for v in e) for e in tail)
+        back = {new: old for old, new in relabel.items()}
+        mapping.extend(back[offset + i] for i in range(len(relabel)))
+        offset += len(relabel)
+    union = Hypergraph(offset, union_edges, uniformity=target.uniformity)
+    grouping = GroupingMap(tuple(mapping), target.n_vertices)
+    if fold(union, grouping).hypergraph != target:
+        raise AssertionError("subadditive split failed to reproduce the patch")
+    return SubadditiveSplit(nu=nu, r=r, union=union, grouping=grouping)
