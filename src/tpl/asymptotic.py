@@ -17,7 +17,12 @@ from .hypergraph import build_structure, make_family, structure_dims
 from .matrix import rank
 from .named import ghz, mamu
 from .obstructions import KoszulSpec, flattening_ratio, gauge_points, koszul_flatten
-from .preorder import CertificateError, _interpolate, verify_degeneration
+from .preorder import (
+    CertificateError,
+    DegenerationCertificate,
+    _interpolation_certificate,
+    verify_degeneration,
+)
 from .tensor import StructureTooLarge, check_dense_size, equal_up_to_padding, kron, strip_padding
 
 MATRIX_SIDE_GUARD = 10**5
@@ -247,14 +252,17 @@ def lattice_obstruction(t, other, covering, spec):
 def lattice_construction(t, other, degcert, family, n):
     """Edgewise degeneration on a lattice patch, closed by interpolation.
 
-    Verifies the edge degeneration t |> other (degrees d, e), places its
-    eps maps on every edge of the n-face patch, and interpolates once
-    globally. The structure degeneration is not expanded: each structure
-    entry is a product of n edge entries, so its degrees are (n*d, n*e).
-    The result is an exactly verified restriction from a direct sum of
-    n*e + 1 structure copies.
+    Verifies the edge degeneration t |> other as it enters, places its eps
+    maps on every edge of the n-face patch (one Kronecker product per
+    vertex), verifies that structure degeneration exactly and interpolates
+    once globally with its measured degrees (D, E), which are (n*d, n*e).
+    The result is a restriction from a direct sum of E + 1 structure
+    copies; it is not re-checked, since it follows from the verified
+    structure degeneration by the weight identity of
+    :func:`tpl.preorder.interpolation_weights`. A structure degeneration
+    that does not verify raises CertificateError.
     """
-    ok, d, e = verify_degeneration(t, other, degcert)
+    ok, _d, _e = verify_degeneration(t, other, degcert)
     if not ok:
         raise CertificateError("degeneration certificate does not verify")
     h = make_family(family, n)
@@ -270,7 +278,10 @@ def lattice_construction(t, other, degcert, family, n):
             factor = degcert.maps[pos]
             m = factor if m is None else m.kron(factor)
         maps.append(m)
-    return _interpolate(source, target, maps, d * n, e * n)
+    ok, d, e = verify_degeneration(source, target, DegenerationCertificate(tuple(maps)))
+    if not ok:
+        raise CertificateError(f"the structure degeneration over {family} n={n} does not verify")
+    return _interpolation_certificate(source.dims, target.dims, maps, d, e)
 
 
 def omega_bound(alpha, beta):

@@ -148,6 +148,8 @@ def cmd_build(args):
             params[key] = value
     try:
         t = make_named(NamedTensorSpec(args.name, params))
+    except StructureTooLarge:
+        raise
     except (KeyError, ValueError) as exc:
         raise UsageError(f"cannot build {args.name}: {exc}") from exc
     _write_output(jsonio.dumps_pretty(jsonio.tensor_to_json(t)), args.out)

@@ -105,14 +105,16 @@ def make_family(family, n, k=3):
     """Deterministic n-edge member of one of the paradigm families.
 
     ``n`` and ``k`` must be ints. Building takes time and memory linear in
-    n, so an n above ``DENSE_ENTRY_GUARD`` raises StructureTooLarge before
-    anything is built.
+    the incidence count n*k, so an n*k above ``DENSE_ENTRY_GUARD`` raises
+    StructureTooLarge before anything is built.
     """
     scalars.check_ints((n, k), "family size n and uniformity k")
     if n < 1:
         raise ValueError("family size n must be >= 1")
-    if n > DENSE_ENTRY_GUARD:
-        raise StructureTooLarge(f"family size n = {n} exceeds the guard {DENSE_ENTRY_GUARD}")
+    if n * k > DENSE_ENTRY_GUARD:
+        raise StructureTooLarge(
+            f"family size n = {n} times uniformity k = {k} exceeds the guard {DENSE_ENTRY_GUARD}"
+        )
     if family == "Disjoint":
         if k < 2:
             raise ValueError("Disjoint needs k >= 2")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .scalars import QC_ONE, RATIONAL, check_ints
-from .tensor import Tensor
+from .tensor import DENSE_ENTRY_GUARD, StructureTooLarge, Tensor
 
 NAMES = ("GHZ", "W", "EPR", "MaMu", "CW", "Unit")
 
@@ -85,19 +85,36 @@ class NamedTensorSpec:
 
 
 def make_named(spec):
-    """Build the tensor a NamedTensorSpec describes; every parameter must be an int."""
+    """Build the tensor a NamedTensorSpec describes; every parameter must be an int.
+
+    A tensor whose index components (entries times order) would exceed
+    ``DENSE_ENTRY_GUARD`` raises StructureTooLarge before it is built.
+    """
     p = spec.params
     check_ints(p.values(), f"{spec.name} parameters")
-    if spec.name == "GHZ":
-        return ghz(p["r"], p.get("k", 3))
-    if spec.name == "Unit":
-        return unit(p["r"], p.get("k", 3))
+    if spec.name in ("GHZ", "Unit"):
+        r, k = p["r"], p.get("k", 3)
+        _check_size(spec.name, r, k)
+        return ghz(r, k) if spec.name == "GHZ" else unit(r, k)
     if spec.name == "W":
         return w_state()
     if spec.name == "EPR":
+        _check_size("EPR", p["d"], 2)
         return epr(p["d"])
     if spec.name == "MaMu":
+        _check_size("MaMu", p["d"] ** 3, 3)
         return mamu(p["d"])
     if spec.name == "CW":
+        _check_size("CW", 3 * p["q"], 3)
         return cw(p["q"])
     raise ValueError(f"unknown tensor name {spec.name!r}")
+
+
+def _check_size(name, entries, order):
+    """Raise StructureTooLarge when entries * order index components exceed the guard."""
+    components = max(entries, 0) * max(order, 0)
+    if components > DENSE_ENTRY_GUARD:
+        raise StructureTooLarge(
+            f"{name} would hold {entries} entries of order {order}: {components} index "
+            f"components, over {DENSE_ENTRY_GUARD}"
+        )

@@ -19,7 +19,7 @@ from . import scalars
 from .matrix import Matrix, flatten, rank
 from .obstructions import hyperdeterminant_222
 from .scalars import EPS, RATIONAL, QC
-from .tensor import _tensor, apply_product_map, check_dense_size, direct_sum_many
+from .tensor import _tensor, apply_product_map, check_dense_size, direct_sum_many, lowest_eps_image
 
 
 class CertificateError(ValueError):
@@ -92,25 +92,17 @@ def verify_degeneration(t, target, cert):
     Returns ``(ok, d, e)`` where d is the lowest degree with a nonzero
     coefficient tensor, e the spread of nonzero degrees above it, and ok is
     true iff the degree-d coefficient tensor equals the target exactly.
+    Only d, e and that tensor are read from the image
+    (:func:`tpl.tensor.lowest_eps_image`).
     """
     if t.domain != RATIONAL or target.domain != RATIONAL:
         raise CertificateError("degeneration verification needs rational endpoints")
     _check_cert_shapes(cert, t, target)
-    image = apply_product_map(list(cert.maps), t.to_eps())
-    if image.is_zero():
+    image = lowest_eps_image(list(cert.maps), t)
+    if image is None:
         raise CertificateError("certificate maps annihilate the source tensor")
-    degrees = set()
-    for p in image.entries.values():
-        degrees.update(p.coeffs)
-    d = min(degrees)
-    e = max(degrees) - d
-    low = {}
-    for idx, p in image.entries.items():
-        c = p.coefficient(d)
-        if c:
-            low[idx] = c
-    ok = _tensor(image.dims, low, RATIONAL) == target
-    return ok, d, e
+    low, d, e = image
+    return low == target, d, e
 
 
 def compose_restrictions(cert_outer, cert_inner):
@@ -135,7 +127,10 @@ def interpolate(t, target, degcert):
     ok, d, e = verify_degeneration(t, target, degcert)
     if not ok:
         raise CertificateError("degeneration certificate does not verify; refusing to interpolate")
-    return _interpolate(t, target, degcert.maps, d, e)
+    cert = _interpolation_certificate(t.dims, target.dims, degcert.maps, d, e)
+    if not verify_restriction(direct_sum_many([t] * (e + 1)), target, cert):
+        raise CertificateError("interpolated certificate failed exact verification")
+    return cert
 
 
 def interpolation_weights(d, e):
@@ -149,15 +144,16 @@ def interpolation_weights(d, e):
     return [QC((-1) ** i * math.comb(e + 1, i + 1) / Fraction(i + 1) ** d) for i in range(e + 1)]
 
 
-def _interpolate(t, target, eps_maps, d, e):
-    """Interpolation step of :func:`interpolate` with the eps maps and degrees (d, e) given.
+def _interpolation_certificate(dims, target_dims, eps_maps, d, e):
+    """The block maps of :func:`interpolate` for a degeneration verified with degrees (d, e).
 
-    The degeneration itself is not expanded again. Wrong degrees cannot
-    produce a bad certificate: the result is verified exactly and a
-    mismatch raises CertificateError. Before any map is evaluated, the
-    table that the e + 1 evaluations fill, one Horner step per entry and
-    degree of the map's range (widened to include 0), is held to the dense
-    size guard; an oversized one raises StructureTooLarge.
+    ``dims`` and ``target_dims`` are the source's and target's. Nothing is
+    checked here: the caller has verified the degeneration and measured
+    (d, e), and the weight identity of :func:`interpolation_weights` makes
+    the result a restriction from e + 1 copies of the source. Before any
+    map is evaluated, the table that the e + 1 evaluations fill, one Horner
+    step per entry and degree of the map's range (widened to include 0), is
+    held to the dense size guard; an oversized one raises StructureTooLarge.
     """
     width = 0
     for m in eps_maps:
@@ -167,7 +163,7 @@ def _interpolate(t, target, eps_maps, d, e):
     weights = interpolation_weights(d, e)
     maps = []
     for j, m in enumerate(eps_maps):
-        cols = t.dims[j]
+        cols = dims[j]
         entries = {}
         for i, w in enumerate(weights):
             block = m.eval_eps(i + 1).entries
@@ -175,12 +171,8 @@ def _interpolate(t, target, eps_maps, d, e):
                 block = {rc: v * w for rc, v in block.items()}
             for (r, c), v in block.items():
                 entries[(r, c + i * cols)] = v
-        maps.append(_tensor((target.dims[j], cols * (e + 1)), entries, RATIONAL, Matrix))
-    cert = RestrictionCertificate(tuple(maps))
-    source = direct_sum_many([t] * (e + 1))
-    if not verify_restriction(source, target, cert):
-        raise CertificateError("interpolated certificate failed exact verification")
-    return cert
+        maps.append(_tensor((target_dims[j], cols * (e + 1)), entries, RATIONAL, Matrix))
+    return RestrictionCertificate(tuple(maps))
 
 
 class OrbitClass222(Enum):

@@ -303,9 +303,45 @@ def apply_product_map(maps, t):
     is reduced by one gcd when it is unpacked. Float operands enter the
     loop as they are.
     """
+    domain = t.domain
+    dims = _check_maps(maps, t, domain)
+    if domain == FLOAT:
+        return _tensor(dims, _contract(t.entries, [m.columns() for m in maps], t.dims, dims), FLOAT)
+    lane = _Lane(t, maps)
+    out = {}
+    for idx, x in _contract(lane.tensor, lane.columns, t.dims, dims).items():
+        coeffs = lane.unpack(x)
+        if coeffs:
+            out[idx] = _eps(coeffs) if domain == EPS else coeffs[0]
+    return _tensor(dims, out, domain)
+
+
+def lowest_eps_image(maps, t):
+    """``(low, d, e)`` of the image of a rational tensor under eps maps; None when it is zero.
+
+    The image (m_1(eps) (x) ... (x) m_k(eps)) t is contracted in the
+    integer lane of :func:`apply_product_map`, and only three things are
+    read from it (:meth:`_Lane.lowest`): d, its lowest eps degree; d + e,
+    its highest; and ``low``, the rational tensor of its degree-d
+    coefficients, with the image dims. Without imaginary parts no value is
+    unpacked; with them each one is, since X^2 = -1 must be folded before
+    a slot's degree means anything.
+    """
+    if t.domain != RATIONAL:
+        raise ValueError(f"the tensor must be rational, not {t.domain}")
+    dims = _check_maps(maps, t, EPS)
+    lane = _Lane(t, maps)
+    found = lane.lowest(_contract(lane.tensor, lane.columns, t.dims, dims))
+    if found is None:
+        return None
+    low, d, e = found
+    return _tensor(dims, low, RATIONAL), d, e
+
+
+def _check_maps(maps, t, domain):
+    """The image dims of ``maps`` applied to ``t``; one map per factor, of ``domain``."""
     if len(maps) != t.order:
         raise ValueError(f"{len(maps)} maps for order-{t.order} tensor")
-    domain = t.domain
     for j, m in enumerate(maps):
         if m.cols != t.dims[j]:
             raise ValueError(
@@ -313,23 +349,28 @@ def apply_product_map(maps, t):
             )
         if m.domain != domain:
             raise ValueError(f"map {j} domain {m.domain} != {domain}")
-    dims = tuple(m.rows for m in maps)
-    if domain == FLOAT:
-        return _tensor(dims, _contract(t.entries, [m.columns() for m in maps]), FLOAT)
-    lane = _Lane(t, maps)
-    out = {}
-    for idx, x in _contract(lane.tensor, lane.columns).items():
-        coeffs = lane.unpack(x)
-        if coeffs:
-            out[idx] = _eps(coeffs) if domain == EPS else coeffs[0]
-    return _tensor(dims, out, domain)
+    return tuple(m.rows for m in maps)
 
 
-def _contract(entries, columns):
+def _contract(entries, columns, dims, rows):
     """The mode-wise loop over plain numbers: ints, or complex floats.
 
-    ``columns[j]`` maps a column of map j to its ``(row, value)`` list.
+    ``entries`` has dims ``dims``, and ``columns[j]`` maps a column of map
+    j, which has ``rows[j]`` rows, to its ``(row, value)`` list. Before the
+    loop, each mode's intermediate is bounded: start from the entry count,
+    and at mode j take the smaller of the last bound times the longest
+    column of map j and the product of the dims after mode j. A bound over
+    ``DENSE_ENTRY_GUARD`` raises StructureTooLarge.
     """
+    bound, shape = len(entries), list(dims)
+    for j, cols in enumerate(columns):
+        shape[j] = rows[j]
+        bound = min(bound * max(map(len, cols.values()), default=0), math.prod(shape))
+        if bound > DENSE_ENTRY_GUARD:
+            raise StructureTooLarge(
+                f"mode {j} of the contraction to {_shape(shape)} may hold {bound} "
+                f"entries, over {DENSE_ENTRY_GUARD}"
+            )
     for j, cols in enumerate(columns):
         acc = {}
         for idx, v in entries.items():
@@ -409,12 +450,12 @@ class _Lane:
     L1 norms (taken as at least 1, which bounds every mode's intermediate
     too). K = bound.bit_length() + 1 keeps each coefficient inside a
     balanced digit [-2^(K-1), 2^(K-1)), so a packed value is zero exactly
-    when the polynomial is, and the digits read back uniquely.
+    when the polynomial is, and the digits read back uniquely. A rational
+    operand packs as degree 0, so a rational tensor meets eps maps as it is.
     """
 
     def __init__(self, t, maps):
-        eps = t.domain == EPS
-        ops = [_Operand(t.entries, eps)] + [_Operand(m.entries, eps) for m in maps]
+        ops = [_Operand(x.entries, x.domain == EPS) for x in (t, *maps)]
         bound = max(ops[0].norms, default=0)
         for m, op in zip(maps, ops[1:]):
             rows = {}
@@ -473,3 +514,39 @@ class _Lane:
                 g = math.gcd(a, b, den)
                 coeffs[q + self.lo] = _qc(a // g, b // g, den // g)
         return coeffs
+
+    def lowest(self, values):
+        """``(low, d, e)`` of nonzero packed values; None when they all fold to zero.
+
+        d is the lowest eps degree over all values, d + e the highest, and
+        ``low`` maps each key to its nonzero degree-d coefficient as a QC.
+        Without X slots, y = x + offset has every digit in [0, 2^K), so
+        y ^ offset is nonzero in exactly the slots whose balanced digit is
+        nonzero; the OR of these over all values gives the lowest and
+        highest slot, and only the digit at the lowest is read. With X
+        slots each value is unpacked, since X^2 = -1 must be folded first.
+        """
+        if self.x_degree:
+            polys = {key: coeffs for key, x in values.items() if (coeffs := self.unpack(x))}
+            if not polys:
+                return None
+            degrees = {k for coeffs in polys.values() for k in coeffs}
+            d = min(degrees)
+            low = {key: coeffs[d] for key, coeffs in polys.items() if d in coeffs}
+            return low, d, max(degrees) - d
+        width, offset = self.width, self.offset
+        shifted = {key: x + offset for key, x in values.items()}
+        used = 0
+        for y in shifted.values():
+            used |= y ^ offset
+        if not used:
+            return None
+        low_slot = ((used & -used).bit_length() - 1) // width
+        shift, mask, half, den = width * low_slot, (1 << width) - 1, 1 << (width - 1), self.den
+        low = {}
+        for key, y in shifted.items():
+            a = ((y >> shift) & mask) - half
+            if a:
+                g = math.gcd(a, den)
+                low[key] = _qc(a // g, 0, den // g)
+        return low, low_slot + self.lo, (used.bit_length() - 1) // width - low_slot

@@ -306,6 +306,16 @@ def test_criterion_9_lattice():
         assert verify_restriction(direct_sum_many([src] * 5), dst, cert)
 
 
+def test_criterion_11_lattice_at_n_6():
+    with Budget("11 (lattice construction at n = 6)", 6.0):
+        for family in ("Triangular", "Kagome"):
+            cert = lattice_construction(ghz(2), w_state(), w_border_cert(), family, 6)
+            h = make_family(family, 6)
+            src = build_structure(h, ghz(2))
+            dst = build_structure(h, w_state())
+            assert [m.dims for m in cert.maps] == [(b, 13 * a) for a, b in zip(src.dims, dst.dims)]
+
+
 def _run_cli(argv, stdin_text=None):
     import contextlib
     import sys

@@ -25,6 +25,7 @@ from tpl.matrix import Matrix, rank
 from tpl.named import epr, ghz, mamu, simple, w_state
 from tpl.obstructions import KoszulSpec, koszul_flatten
 from tpl.preorder import (
+    CertificateError,
     DegenerationCertificate,
     interpolate,
     verify_degeneration,
@@ -343,6 +344,39 @@ def test_lattice_construction_matches_reference_w_border(family, n):
 def test_lattice_construction_matches_reference_random_edges():
     for t, target, cert, d, e in random_edge_degenerations(random.Random(8), 3):
         assert_matches_reference(t, target, cert, d, e, "Triangular", 2)
+
+
+@pytest.mark.parametrize("family", ["Triangular", "Kagome"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lattice_certificate_is_a_restriction(family, n):
+    # lattice_construction verifies the structure degeneration and does not
+    # re-check the restriction it interpolates; the restriction is checked here.
+    h = make_family(family, n)
+    source = build_structure(h, ghz(2))
+    target = build_structure(h, w_state())
+    cert = lattice_construction(ghz(2), w_state(), w_border_cert(), family, n)
+    assert verify_restriction(direct_sum_many([source] * (2 * n + 1)), target, cert)
+
+
+def test_lattice_construction_refuses_a_structure_that_does_not_verify(monkeypatch):
+    # The target structure loses one entry after the edge certificate has
+    # verified, so only the structure degeneration check can catch it.
+    from tpl import asymptotic
+
+    built = []
+
+    def drop_an_entry(h, t):
+        s = build_structure(h, t)
+        built.append(s)
+        if len(built) == 2:
+            entries = dict(s.entries)
+            entries.pop(min(entries))
+            s = Tensor(s.dims, entries)
+        return s
+
+    monkeypatch.setattr(asymptotic, "build_structure", drop_an_entry)
+    with pytest.raises(CertificateError, match="structure degeneration"):
+        lattice_construction(ghz(2), w_state(), w_border_cert(), "Triangular", 2)
 
 
 def test_lattice_construction_guards_and_errors():

@@ -3,11 +3,13 @@
 A dimension, an index component, a position, a vertex, an eps degree or a
 certificate's declared degree must be an ``int``: a float (even 2.0), a
 bool or a numpy integer is refused, never truncated, so no input is read
-as a different one.
+as a different one. A size that would not fit is refused before anything
+is built.
 """
 
 import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -20,9 +22,9 @@ from tpl.hypergraph import GroupingMap, Hypergraph, make_family
 from tpl.matrix import Matrix
 from tpl.named import NamedTensorSpec, ghz, make_named, w_state
 from tpl.obstructions import KoszulSpec
-from tpl.preorder import CertificateError, DegenerationCertificate
+from tpl.preorder import CertificateError, DegenerationCertificate, RestrictionCertificate
 from tpl.scalars import EPS, EpsPoly, QC, parse_int
-from tpl.tensor import GroupingSpec, Tensor
+from tpl.tensor import DENSE_ENTRY_GUARD, GroupingSpec, StructureTooLarge, Tensor
 
 CONSTRUCTORS = {
     "Tensor": lambda dims, entries: Tensor(dims, entries),
@@ -226,3 +228,61 @@ def _write_text(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def _refused_fast(capsys, argv, seconds=0.5):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("tpl: ") and err.count("\n") == 1
+    assert elapsed < seconds
+    return err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        NamedTensorSpec("MaMu", {"d": 1000}),
+        NamedTensorSpec("GHZ", {"r": 100_000_000}),
+        NamedTensorSpec("Unit", {"r": 2, "k": DENSE_ENTRY_GUARD}),
+        NamedTensorSpec("EPR", {"d": DENSE_ENTRY_GUARD}),
+        NamedTensorSpec("CW", {"q": DENSE_ENTRY_GUARD // 9 + 1}),
+    ],
+)
+def test_make_named_refuses_an_oversized_tensor(spec):
+    with pytest.raises(StructureTooLarge, match="index components"):
+        make_named(spec)
+
+
+def test_make_named_builds_up_to_the_guard():
+    # 333,333 entries of order 3 hold 999,999 index components.
+    assert make_named(NamedTensorSpec("GHZ", {"r": DENSE_ENTRY_GUARD // 3})).nnz() == 333_333
+
+
+@pytest.mark.parametrize("argv", [["--name", "MaMu", "--d", "1000"], ["--name", "GHZ", "--r", "100000000"]])
+def test_build_refuses_an_oversized_tensor(capsys, argv):
+    assert "index components" in _refused_fast(capsys, ["build", *argv])
+
+
+def test_make_family_guards_the_incidence_count(capsys):
+    for family, n, k in (("Strassen", 1, DENSE_ENTRY_GUARD + 1), ("Disjoint", 1000, 1001)):
+        with pytest.raises(StructureTooLarge, match="guard"):
+            make_family(family, n, k)
+    argv = ["hypergraph", "--family", "Strassen", "--n", "1", "--k", "100000000"]
+    assert "guard" in _refused_fast(capsys, argv)
+
+
+def test_cert_verify_refuses_an_oversized_contraction(capsys, tmp_path):
+    # Dense 101 x 101 maps on the 101-level GHZ tensor: the contraction would
+    # pass 1,030,301 entries through mode 1, over the entry-count guard. Most
+    # of the time allowed goes to reading the 30,603 map entries.
+    dense = Matrix(101, 101, {(r, c): QC(1) for r in range(101) for c in range(101)})
+    argv = [
+        "cert-verify",
+        "--src", _write(tmp_path, "src.json", jsonio.tensor_to_json(ghz(101))),
+        "--dst", _write(tmp_path, "dst.json", jsonio.tensor_to_json(ghz(101))),
+        "--cert", _write(tmp_path, "cert.json", jsonio.certificate_to_json(RestrictionCertificate((dense,) * 3))),
+    ]
+    assert "mode 1 of the contraction" in _refused_fast(capsys, argv, seconds=5.0)

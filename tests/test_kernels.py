@@ -4,8 +4,10 @@ The integer-packed ``QC`` is checked against ``util.RefQC`` (a pair of
 Fractions), the integer-lane ``apply_product_map`` against
 ``util.apply_product_map_kfold`` (the full k-fold product per entry, in
 ``QC``/``EpsPoly`` arithmetic) and ``Matrix.eval_eps`` against a termwise
-sum. Kernel outputs, built without the constructor's checks, are checked
-against the public constructor.
+sum. ``lowest_eps_image``, which reads the packed image without unpacking
+it, is checked against the full unpack of ``apply_product_map``. Kernel
+outputs, built without the constructor's checks, are checked against the
+public constructor.
 """
 
 import math
@@ -27,6 +29,7 @@ from tpl.tensor import (
     apply_product_map,
     direct_sum_many,
     group,
+    lowest_eps_image,
     permute_factors,
     strip_padding,
     tensor_product,
@@ -252,6 +255,110 @@ def test_lane_rejects_mismatched_domains():
         apply_product_map([Matrix.identity(1).to_eps()], Tensor((1,), {(0,): QC(1)}))
     with pytest.raises(ValueError):
         apply_product_map([Matrix(1, 1, {(0, 0): 1j}, FLOAT)], Tensor((1,), {(0,): QC(1)}))
+    with pytest.raises(ValueError):
+        lowest_eps_image([Matrix.identity(1).to_eps()], eps_t)
+    with pytest.raises(ValueError):
+        lowest_eps_image([Matrix.identity(1)], Tensor((1,), {(0,): QC(1)}))
+
+
+# -- the packed read of the lowest degree -------------------------------------
+
+
+def lowest_by_unpacking(maps, t):
+    """``lowest_eps_image`` through the full unpack: every coefficient of the eps image."""
+    image = apply_product_map(maps, t.to_eps())
+    if image.is_zero():
+        return None
+    degrees = {k for p in image.entries.values() for k in p.coeffs}
+    d = min(degrees)
+    low = {idx: p.coeffs[d] for idx, p in image.entries.items() if d in p.coeffs}
+    return Tensor(image.dims, low), d, max(degrees) - d
+
+
+real_parts = st.one_of(small, near_bound)
+
+
+@st.composite
+def lowest_read_cases(draw):
+    """Real rational tensors under real Laurent eps maps, some values next to the
+    packing bound. With ``positive`` every value is positive, so that the top
+    digits reach the bound; otherwise signs are mixed, top digits included.
+    Some cases hold only +-1, so that a top digit is often +-1 above a lower
+    digit of the other sign."""
+    positive = draw(st.booleans())
+    part = draw(st.sampled_from([st.sampled_from([1, -1]), real_parts]))
+    part = part.map(abs) if positive else part
+    scalar = st.builds(QC, part)
+    poly = st.builds(EpsPoly, st.dictionaries(st.integers(-2, 3), scalar, min_size=1, max_size=4))
+    order = draw(st.integers(1, 3))
+    dims = draw(st.lists(st.integers(1, 3), min_size=order, max_size=order))
+    rows = draw(st.lists(st.integers(1, 3), min_size=order, max_size=order))
+    t = Tensor(dims, sparse_fill(draw, dims, scalar, st.booleans()))
+    maps = [Matrix(r, d, sparse_fill(draw, (r, d), poly, st.integers(0, 3).map(bool)), EPS)
+            for r, d in zip(rows, dims)]
+    return maps, t
+
+
+@PROPERTY
+@given(lowest_read_cases())
+def test_packed_lowest_read_matches_the_full_unpack(case):
+    maps, t = case
+    assert lowest_eps_image(maps, t) == lowest_by_unpacking(maps, t)
+
+
+def test_packed_lowest_read_on_chosen_digits():
+    # Row 0 starts at eps^-2 and ends on a negative top digit; row 1 starts
+    # above the global lowest degree, so it has no degree -2 coefficient.
+    m = Matrix(2, 2, {
+        (0, 0): EpsPoly({-2: QC(3), 1: QC(-5)}),
+        (1, 0): EpsPoly({0: QC(1), 1: QC(-1)}),
+        (1, 1): EpsPoly({1: QC(-7)}),
+    }, EPS)
+    t = Tensor((2,), {(0,): QC(Fraction(1, 2)), (1,): QC(Fraction(-1, 3))})
+    low, d, e = lowest_eps_image([m], t)
+    assert (d, e) == (-2, 3)
+    assert low == Tensor((2,), {(0,): QC(Fraction(3, 2))})
+    assert (low, d, e) == lowest_by_unpacking([m], t)
+    # Top digits +-1 above a lower digit of the other sign: the packed value
+    # is smaller in absolute value than its top slot's weight.
+    for sign in (1, -1):
+        m = Matrix(1, 1, {(0, 0): EpsPoly({0: QC(-sign * 5), 2: QC(sign)})}, EPS)
+        assert lowest_eps_image([m], Tensor((1,), {(0,): QC(1)})) == (Tensor((1,), {(0,): QC(-sign * 5)}), 0, 2)
+    assert lowest_eps_image([Matrix(1, 2, {(0, 0): EpsPoly.eps(1)}, EPS)], Tensor((2,), {(1,): QC(1)})) is None
+
+
+def test_packed_lowest_read_folds_imaginary_parts_first():
+    # i * i eps^-2 + 1 * eps^-2 = 0: the lowest packed slot holds a value that
+    # folds to zero, and the lowest degree of the image is 3.
+    t = Tensor((2,), {(0,): QC(0, 1), (1,): QC(1)})
+    m = Matrix(1, 2, {(0, 0): EpsPoly({-2: QC(0, 1), 3: QC(1)}), (0, 1): EpsPoly({-2: QC(1)})}, EPS)
+    assert lowest_eps_image([m], t) == (Tensor((1,), {(0,): QC(0, 1)}), 3, 0)
+    assert lowest_eps_image([m], t) == lowest_by_unpacking([m], t)
+
+
+def dense_ones(side):
+    return Matrix(side, side, {(r, c): QC(1) for r in range(side) for c in range(side)})
+
+
+def test_contraction_guard_raises_before_the_loop():
+    # 101 diagonal entries under dense 101 x 101 maps: mode 1 would hold
+    # min(101 * 101 * 101, 101^3) = 1,030,301 entries, over the guard.
+    import time
+
+    t = ghz(101)
+    maps = [dense_ones(101)] * 3
+    eps_maps = [m.to_eps() for m in maps]
+    start = time.perf_counter()
+    with pytest.raises(StructureTooLarge, match="mode 1 of the contraction"):
+        apply_product_map(maps, t)
+    with pytest.raises(StructureTooLarge, match="mode 1 of the contraction"):
+        lowest_eps_image(eps_maps, t)
+    with pytest.raises(StructureTooLarge, match="mode 1 of the contraction"):
+        apply_product_map([m.to_float() for m in maps], t.to_float())
+    assert time.perf_counter() - start < 1.0
+    # One map fewer in the dense mode stays under it.
+    narrow = Matrix(1, 101, {(0, c): QC(1) for c in range(101)})
+    assert apply_product_map([narrow, maps[1], maps[2]], t).nnz() == 101 * 101
 
 
 def termwise(p, x):
