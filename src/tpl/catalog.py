@@ -2,7 +2,12 @@
 
 A catalog is a directory of JSON entry files plus a manifest listing the
 entry ids. Every stored decomposition and degeneration certificate is
-re-verified exactly on load and on put; corrupted data fails loudly.
+verified exactly on put, and on load once per file version per process;
+corrupted data fails loudly. A verified entry is kept in a table shared by
+every ``Catalog`` of the process, keyed on its file's path and stat key
+(device, inode, size, mtime_ns, ctime_ns): a file that changed in any of
+these is read and verified again. Cached entries are shared between
+callers and must be treated as read-only.
 Literature-sourced values live in entry metadata as provenance strings and
 are never used as bounds without a verifying witness.
 """
@@ -26,6 +31,10 @@ _PACKAGED_CATALOG = Path(__file__).parent / "data" / "catalog"
 # An id names the file <id>.json inside the catalog directory, so it may not
 # contain a path separator or start with a dot.
 _ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
+# Entry file path -> (stat key, verified CatalogEntry). The key is taken
+# before the file is read, so a file replaced mid-read is verified again on
+# the next get rather than served stale.
+_VERIFIED = {}
 
 
 class CatalogError(ValueError):
@@ -148,7 +157,7 @@ def entry_from_json(obj):
 
 
 class Catalog:
-    """Directory-backed store; reads verify, puts verify before writing."""
+    """Directory-backed store; reads verify (once per file version), puts verify before writing."""
 
     def __init__(self, path):
         self.path = Path(path)
@@ -177,13 +186,21 @@ class Catalog:
         return list(entries)
 
     def get(self, entry_id):
+        """The verified entry ``entry_id``; read and verified once per file version."""
         path = self.path / f"{_check_id(entry_id)}.json"
-        if not path.exists():
-            raise CatalogError(f"unknown catalog id {entry_id!r}")
+        try:
+            st = os.stat(path)
+        except (FileNotFoundError, NotADirectoryError):
+            raise CatalogError(f"unknown catalog id {entry_id!r}") from None
+        key = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+        cached = _VERIFIED.get(path)
+        if cached is not None and cached[0] == key:
+            return cached[1]
         entry = entry_from_json(jsonio.load_path(path))
         if entry.id != entry_id:
             raise CatalogError(f"{path}: id field {entry.id!r} disagrees with filename")
         verify_entry(entry)
+        _VERIFIED[path] = (key, entry)
         return entry
 
     def put(self, entry):
@@ -200,5 +217,5 @@ class Catalog:
         return entry
 
     def load_all(self):
-        """Read and verify every entry; fails loudly on the first mismatch."""
+        """Every entry, each verified (see ``get``); fails loudly on the first mismatch."""
         return [self.get(entry_id) for entry_id in self.ids()]

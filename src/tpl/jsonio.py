@@ -15,7 +15,7 @@ from pathlib import Path
 from . import scalars
 from .matrix import Matrix
 from .preorder import CertificateError, DegenerationCertificate, RestrictionCertificate
-from .scalars import EPS, FLOAT, RATIONAL, EpsPoly, QC
+from .scalars import EPS, FLOAT, RATIONAL, EpsPoly
 from .tensor import Tensor
 
 
@@ -43,7 +43,7 @@ def _qc_fields(v):
 
 def _qc_from_fields(obj):
     try:
-        return QC(scalars.parse_fraction(obj["re"]), scalars.parse_fraction(obj["im"]))
+        return scalars.parse_qc(obj["re"], obj["im"])
     except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad rational scalar {obj!r}") from exc
 

@@ -39,7 +39,22 @@ def check_ints(values, what, error=ValueError):
 
 
 _INTEGER = r"[+-]?[0-9]+"
-_FRACTION = re.compile(_INTEGER + r"(/[0-9]+)?")
+_FRACTION = re.compile(f"({_INTEGER})(?:/([0-9]+))?")
+
+
+def _fraction_parts(s):
+    """(p, q) of an int or of a string "p" or "p/q" (``[+-]?digits[/digits]``).
+
+    Only ASCII digits match. A bool, a float or any other form raises
+    ValueError; q may be 0, and the caller decides what that means.
+    """
+    if type(s) is int:
+        return s, 1
+    m = _FRACTION.fullmatch(s) if isinstance(s, str) else None
+    if m is None:
+        raise ValueError(f"not a fraction p or p/q: {s!r}")
+    p, q = m.groups()
+    return int(p), 1 if q is None else int(q)
 
 
 def parse_fraction(s):
@@ -48,15 +63,26 @@ def parse_fraction(s):
     This is the form :func:`format_fraction` writes. Ints and Fractions are
     accepted as they are. Anything else raises ValueError, so exponent
     forms such as "1e4000000", which would expand to millions of digits,
-    and decimals such as "1.5" are rejected before any arithmetic.
+    decimals such as "1.5" and bools are rejected before any arithmetic.
     """
     if isinstance(s, Fraction):
         return s
-    if isinstance(s, int):
-        return Fraction(s)
-    if isinstance(s, str) and _FRACTION.fullmatch(s):
-        return Fraction(s)
-    raise ValueError(f"not a fraction p or p/q: {s!r}")
+    return Fraction(*_fraction_parts(s))
+
+
+def parse_qc(real, imag):
+    """The QC real + imag*i of two :func:`parse_fraction` forms (not Fractions).
+
+    Reads the digits straight into the fields (a, b, n), with one gcd and
+    no intermediate Fraction. A zero denominator raises ZeroDivisionError.
+    """
+    p, q = _fraction_parts(real)
+    r, s = _fraction_parts(imag)
+    if not q or not s:
+        raise ZeroDivisionError(f"zero denominator in {real!r}, {imag!r}")
+    a, b, n = p * s, r * q, q * s
+    g = math.gcd(a, b, n)
+    return _qc(a // g, b // g, n // g)
 
 
 def parse_int(s):

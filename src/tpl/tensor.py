@@ -285,7 +285,8 @@ def strip_padding(t):
 
 def equal_up_to_padding(t, u):
     """True iff t and u share order and domain and agree after deleting all-zero slices."""
-    return strip_padding(t) == strip_padding(u)
+    # Stripping drops only zero slices, so it keeps nnz.
+    return t.nnz() == u.nnz() and strip_padding(t) == strip_padding(u)
 
 
 def apply_product_map(maps, t):

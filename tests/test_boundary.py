@@ -177,6 +177,27 @@ def test_catalog_put_refuses_a_float_declared_degree(capsys, tmp_path):
     assert not cat.exists()
 
 
+@pytest.mark.parametrize("value, code", [(True, 1), (1, 0)], ids=["bool", "int"])
+@pytest.mark.parametrize("source", ["tensor", "catalog"])
+def test_a_json_bool_is_not_a_scalar(capsys, tmp_path, source, value, code):
+    # true used to read as QC(1); a JSON integer is a scalar, a bool is not.
+    if source == "tensor":
+        obj = jsonio.tensor_to_json(w_state())
+        obj["entries"][0]["re"] = value
+        argv = ["classify", "--tensor", _write(tmp_path, "w.json", obj)]
+    else:
+        obj = json.loads((Catalog.packaged().path / "w-border2-degeneration.json").read_text())
+        obj["tensor"]["entries"][0]["re"] = value
+        _write(tmp_path, "manifest.json", {"entries": ["w-border2-degeneration"]})
+        _write(tmp_path, "w-border2-degeneration.json", obj)
+        argv = ["catalog", "get", "--catalog", str(tmp_path), "--id", "w-border2-degeneration"]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and err.startswith("tpl: ") and err.count("\n") == 1
+        assert "bad rational scalar" in err
+
+
 @pytest.mark.parametrize(
     "spec",
     [

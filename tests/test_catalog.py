@@ -1,12 +1,15 @@
 import copy
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import util
 
+from tpl import catalog
+from tpl.asymptotic import disjoint_rank_bounds, strassen_rank_bounds
 from tpl.catalog import (
     Catalog,
     CatalogEntry,
@@ -18,10 +21,10 @@ from tpl.catalog import (
     verify_entry,
 )
 from tpl.matrix import Matrix
-from tpl.named import NamedTensorSpec, epr, ghz, make_named, w_state
+from tpl.named import NamedTensorSpec, epr, ghz, make_named, mamu, w_state
 from tpl.preorder import DegenerationCertificate
 from tpl.scalars import EPS, EpsPoly, QC
-from tpl.tensor import Tensor
+from tpl.tensor import Tensor, kron
 
 def w_border_cert():
     c, e = EpsPoly.const, EpsPoly.eps
@@ -261,3 +264,104 @@ def test_catalog_rejects_ids_outside_the_directory(tmp_path, bad_id):
     with pytest.raises(CatalogError, match="bad catalog id"):
         entry_from_json(dict(good, id=bad_id))
     assert list(tmp_path.iterdir()) == []
+
+
+# -- the verified-entry table: each entry file is verified once per version --
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """An empty verified-entry table, and the verify_entry calls per entry id."""
+    monkeypatch.setattr(catalog, "_VERIFIED", {})
+    calls = Counter()
+    real = catalog.verify_entry
+
+    def counting(entry):
+        calls[entry.id] += 1
+        return real(entry)
+
+    monkeypatch.setattr(catalog, "verify_entry", counting)
+    return calls
+
+
+def test_packaged_entries_are_verified_once_per_process(verify_calls):
+    ids = Catalog.packaged().ids()
+    for _ in range(3):
+        assert [e.id for e in Catalog.packaged().load_all()] == ids
+    for _ in range(3):
+        report = disjoint_rank_bounds(w_state(), Catalog.packaged())
+        assert report.upper.ref["id"] == "w-border2-degeneration"
+        strassen_rank_bounds(w_state(), catalog=Catalog.packaged())
+    assert verify_calls == {entry_id: 1 for entry_id in ids}
+
+
+def test_bound_reports_leave_cached_entries_unchanged(verify_calls):
+    cat = Catalog.packaged()
+    before = {e.id: entry_to_json(e) for e in cat.load_all()}
+    for t in (w_state(), mamu(2), kron(w_state(), w_state())):
+        for _ in range(2):
+            disjoint_rank_bounds(t, cat)
+            strassen_rank_bounds(t, n_max=2, catalog=cat)
+    assert {e.id: entry_to_json(e) for e in cat.load_all()} == before
+    assert set(verify_calls.values()) == {1}
+
+
+def w_entry(**metadata):
+    return CatalogEntry(id="w-rank3", tensor=w_state(), decomposition=w_rank3_terms(), metadata=metadata)
+
+
+def test_two_catalogs_on_one_directory_share_verified_entries(tmp_path, verify_calls):
+    Catalog(tmp_path).put(w_entry())
+    first = Catalog(tmp_path).get("w-rank3")
+    assert Catalog(tmp_path).get("w-rank3") is first
+    assert Catalog(tmp_path).load_all() == [first]
+    assert verify_calls["w-rank3"] == 2  # the put, then the first get
+
+
+def test_same_size_in_place_edit_is_verified_again(tmp_path, verify_calls):
+    cat = Catalog(tmp_path)
+    cat.put(w_entry())
+    cat.get("w-rank3")
+    path = tmp_path / "w-rank3.json"
+    before = os.stat(path)
+    text = path.read_text()
+    edited = text.replace('"re": "1"', '"re": "2"', 1)
+    assert edited != text and len(edited) == len(text)
+    with open(path, "r+") as fh:
+        fh.write(edited)
+    after = os.stat(path)
+    assert (after.st_ino, after.st_size) == (before.st_ino, before.st_size)
+    with pytest.raises(CatalogError, match="does not sum"):
+        cat.get("w-rank3")
+
+
+def test_a_new_version_is_read_and_verified(tmp_path, verify_calls):
+    cat = Catalog(tmp_path)
+    cat.put(w_entry(version=1))
+    assert cat.get("w-rank3").metadata == {"version": 1}
+    cat.put(w_entry(version=2))
+    assert cat.get("w-rank3").metadata == {"version": 2}
+    assert verify_calls["w-rank3"] == 4  # two puts, two gets
+
+
+def test_a_deleted_entry_file_is_an_unknown_id(tmp_path, verify_calls):
+    cat = Catalog(tmp_path)
+    cat.put(w_entry())
+    cat.get("w-rank3")
+    (tmp_path / "w-rank3.json").unlink()
+    with pytest.raises(CatalogError, match="unknown catalog id"):
+        cat.get("w-rank3")
+
+
+def test_a_failing_entry_is_never_cached(tmp_path, verify_calls):
+    cat = Catalog(tmp_path)
+    cat.put(w_entry())
+    path = tmp_path / "w-rank3.json"
+    good = path.read_text()
+    path.write_text(good.replace('"re": "1"', '"re": "-1"', 1))
+    for _ in range(2):
+        with pytest.raises(CatalogError, match="does not sum"):
+            cat.get("w-rank3")
+    assert verify_calls["w-rank3"] == 3
+    path.write_text(good)
+    assert cat.get("w-rank3").tensor == w_state()

@@ -1,7 +1,13 @@
 import json
+import math
 import random
+import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_scalars import REJECTED_FRACTIONS
 
 import util
 from tpl import jsonio
@@ -9,7 +15,7 @@ from tpl.hypergraph import GroupingMap, make_family
 from tpl.matrix import Matrix
 from tpl.named import ghz, w_state
 from tpl.preorder import DegenerationCertificate, RestrictionCertificate
-from tpl.scalars import EPS, FLOAT, EpsPoly, QC
+from tpl.scalars import EPS, FLOAT, RATIONAL, EpsPoly, QC
 from tpl.tensor import Tensor
 
 
@@ -110,3 +116,54 @@ def test_writer_is_deterministic():
     b = jsonio.dumps_pretty(jsonio.tensor_to_json(t))
     assert a == b
     assert '"re": "1"' in a
+
+
+# -- rational scalars are read straight into QC's fields ---------------------
+
+GRAMMAR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?", re.ASCII)
+
+
+def fraction_ref(s):
+    """The Fraction path: the written grammar read by Fraction itself."""
+    if type(s) is int:
+        return Fraction(s)
+    if isinstance(s, str) and GRAMMAR.fullmatch(s):
+        return Fraction(s)  # raises ZeroDivisionError on "p/0"
+    raise ValueError(s)
+
+
+digits = st.text(st.sampled_from("0123456789"), min_size=1, max_size=24)
+fraction_fields = st.one_of(
+    st.builds(
+        lambda sign, p, q: sign + p + ("" if q is None else "/" + q),
+        st.sampled_from(["", "+", "-"]),
+        digits,
+        st.none() | digits | st.sampled_from(["0", "00", "1", "01"]),
+    ),
+    st.integers(-(10**30), 10**30),
+    st.sampled_from(["007/3", "+5", "-0/5", "0/7", "6/4", "-12/18", "000", "1/0", "-4/-2", "0x1A"]),
+    st.sampled_from(REJECTED_FRACTIONS),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(fraction_fields, fraction_fields)
+@example("007/3", "-0/5")
+@example("+5", "6/4")
+@example("-12/18", "000")
+@example("½", "0")
+@example("0", "1_0")
+@example(True, "0")
+@example("0", False)
+@example("3/0", "1")
+def test_rational_scalar_read_matches_the_fraction_path(re_field, im_field):
+    try:
+        expected = QC(fraction_ref(re_field), fraction_ref(im_field))
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(jsonio.FormatError):
+            jsonio.scalar_from_json(RATIONAL, {"re": re_field, "im": im_field})
+        return
+    got = jsonio.scalar_from_json(RATIONAL, {"re": re_field, "im": im_field})
+    assert (got.re, got.im) == (expected.re, expected.im)
+    assert got._n > 0 and math.gcd(got._a, got._b, got._n) == 1

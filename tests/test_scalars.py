@@ -62,7 +62,10 @@ def test_parse_fraction_accepts_the_written_grammar(s):
     assert parse_fraction(s) == Fraction(s)
 
 
-@pytest.mark.parametrize("s", ["1.5", "1e4000000", "1E3", " 1", "1 /2", "1/-2", "", "/2", "inf", "nan", "½", 1.5, None])
+REJECTED_FRACTIONS = ["1.5", "1e4000000", "1E3", " 1", "1 /2", "1/-2", "", "/2", "inf", "nan", "½", "1_0", 1.5, None, True, False]
+
+
+@pytest.mark.parametrize("s", REJECTED_FRACTIONS)
 def test_parse_fraction_rejects_other_forms(s):
     with pytest.raises(ValueError):
         parse_fraction(s)

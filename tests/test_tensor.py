@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -223,6 +224,40 @@ def test_equal_up_to_padding_cases():
     assert not equal_up_to_padding(zero2, Tensor((2, 2), {}))
     assert not equal_up_to_padding(g2, g2.to_eps())
     assert not equal_up_to_padding(g2.to_float(), padded)
+
+
+def _place(rng, t, extra, shuffle):
+    """t with its slices sent to random places among ``extra`` more per factor."""
+    dims = tuple(d + rng.randint(0, extra) for d in t.dims)
+    places = [rng.sample(range(n), d) for n, d in zip(dims, t.dims)]
+    if not shuffle:
+        places = [sorted(p) for p in places]
+    entries = {tuple(p[i] for p, i in zip(places, idx)): v for idx, v in t.entries.items()}
+    return Tensor(dims, entries, t.domain)
+
+
+def test_equal_up_to_padding_matches_stripping():
+    rng = random.Random(1515)
+    seen = Counter()
+    for _ in range(600):
+        dims = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+        base = util.random_rational_tensor(rng, dims, density=0.5, den=2)
+        other = base
+        kind = rng.choice(["same", "permuted", "entry", "factors"])
+        if kind == "permuted":
+            other = _place(rng, base, 0, shuffle=True)
+        elif kind == "entry":
+            idx = tuple(rng.randrange(d) for d in base.dims)
+            other = Tensor(base.dims, {**base.entries, idx: QC(rng.randint(0, 2))})
+        elif kind == "factors":
+            other = permute_factors(base, rng.sample(range(base.order), base.order))
+        t, u = _place(rng, base, 2, shuffle=False), _place(rng, other, 2, shuffle=False)
+        expected = strip_padding(t) == strip_padding(u)
+        assert equal_up_to_padding(t, u) == expected
+        assert equal_up_to_padding(u, t) == expected
+        seen[expected, t.nnz() == u.nnz()] += 1
+    # Equal pairs, and unequal pairs both with and without equal nnz.
+    assert min(seen[True, True], seen[False, True], seen[False, False]) >= 50, seen
 
 
 def test_strip_padding_compacts_in_order():
