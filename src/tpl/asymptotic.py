@@ -11,19 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 from .catalog import Catalog
-from .hypergraph import build_structure, make_family, structure_dims
-from .matrix import rank
+from .hypergraph import make_family, structure_dims
+from .matrix import Matrix, rank
 from .named import ghz, mamu
 from .obstructions import KoszulSpec, flattening_ratio, gauge_points, koszul_flatten
-from .preorder import (
-    CertificateError,
-    DegenerationCertificate,
-    _interpolation_certificate,
-    verify_degeneration,
-)
-from .tensor import StructureTooLarge, check_dense_size, equal_up_to_padding, kron, strip_padding
+from .preorder import CertificateError, _interpolation_certificate, verify_degeneration
+from .tensor import DENSE_ENTRY_GUARD, StructureTooLarge, equal_up_to_padding, kron, strip_padding
 
 MATRIX_SIDE_GUARD = 10**5
 
@@ -252,36 +248,28 @@ def lattice_obstruction(t, other, covering, spec):
 def lattice_construction(t, other, degcert, family, n):
     """Edgewise degeneration on a lattice patch, closed by interpolation.
 
-    Verifies the edge degeneration t |> other as it enters, places its eps
-    maps on every edge of the n-face patch (one Kronecker product per
-    vertex), verifies that structure degeneration exactly and interpolates
-    once globally with its measured degrees (D, E), which are (n*d, n*e).
-    The result is a restriction from a direct sum of E + 1 structure
-    copies; it is not re-checked, since it follows from the verified
-    structure degeneration by the weight identity of
-    :func:`tpl.preorder.interpolation_weights`. A structure degeneration
-    that does not verify raises CertificateError.
+    Verifies the edge degeneration t |> other, measuring its degrees (d, e),
+    and places its eps maps on the k = ``h.n_edges`` edges of the n-face
+    patch, one Kronecker product per vertex. The structure image is the
+    grouped tensor product of the k edge images, and eps degrees add under
+    it (a product of nonzero tensors over Q(i) is nonzero), so the maps
+    degenerate the source structure to the target one with (D, E) =
+    (k*d, k*e), derived rather than measured: no structure is built. The
+    interpolation evaluates the maps at E + 1 points; E + 1 times their entry
+    count over the dense size guard raises StructureTooLarge before any kron.
     """
-    ok, _d, _e = verify_degeneration(t, other, degcert)
+    ok, d, e = verify_degeneration(t, other, degcert)
     if not ok:
         raise CertificateError("degeneration certificate does not verify")
     h = make_family(family, n)
-    for assignment in (t, other):
-        check_dense_size(structure_dims(h, assignment), f"structure over {family} n={n}")
-    source = build_structure(h, t)
-    target = build_structure(h, other)
-    slots = h.vertex_slots()
-    maps = []
-    for vs in slots:
-        m = None
-        for pos, _e in vs:
-            factor = degcert.maps[pos]
-            m = factor if m is None else m.kron(factor)
-        maps.append(m)
-    ok, d, e = verify_degeneration(source, target, DegenerationCertificate(tuple(maps)))
-    if not ok:
-        raise CertificateError(f"the structure degeneration over {family} n={n} does not verify")
-    return _interpolation_certificate(source.dims, target.dims, maps, d, e)
+    k, slots = h.n_edges, h.vertex_slots()
+    entries = sum(math.prod(degcert.maps[pos].nnz() for pos, _edge in vs) for vs in slots)
+    if (k * e + 1) * entries > DENSE_ENTRY_GUARD:
+        raise StructureTooLarge(
+            f"{k * e + 1} evaluations of {entries} vertex-map entries exceed {DENSE_ENTRY_GUARD}"
+        )
+    maps = [reduce(Matrix.kron, [degcert.maps[pos] for pos, _edge in vs]) for vs in slots]
+    return _interpolation_certificate(structure_dims(h, t), structure_dims(h, other), maps, k * d, k * e)
 
 
 def omega_bound(alpha, beta):

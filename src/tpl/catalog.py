@@ -3,11 +3,11 @@
 A catalog is a directory of JSON entry files plus a manifest listing the
 entry ids. Every stored decomposition and degeneration certificate is
 verified exactly on put, and on load once per file version per process;
-corrupted data fails loudly. A verified entry is kept in a table shared by
-every ``Catalog`` of the process, keyed on its file's path and stat key
-(device, inode, size, mtime_ns, ctime_ns): a file that changed in any of
-these is read and verified again. Cached entries are shared between
-callers and must be treated as read-only.
+corrupted data fails loudly. A verified entry, and the manifest's id list,
+is kept in a table shared by every ``Catalog`` of the process, keyed on its
+file's path and stat key (device, inode, size, mtime_ns, ctime_ns): a file
+that changed in any of these is read (and verified) again. Cached entries
+are shared between callers and must be treated as read-only.
 Literature-sourced values live in entry metadata as provenance strings and
 are never used as bounds without a verifying witness.
 """
@@ -31,9 +31,9 @@ _PACKAGED_CATALOG = Path(__file__).parent / "data" / "catalog"
 # An id names the file <id>.json inside the catalog directory, so it may not
 # contain a path separator or start with a dot.
 _ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
-# Entry file path -> (stat key, verified CatalogEntry). The key is taken
-# before the file is read, so a file replaced mid-read is verified again on
-# the next get rather than served stale.
+# (reader, file path) -> (stat key, what the reader returned): a verified
+# CatalogEntry or the manifest's ids. The key is taken before the file is
+# read, so a file replaced mid-read is read again next time, never stale.
 _VERIFIED = {}
 
 
@@ -156,6 +156,32 @@ def entry_from_json(obj):
         raise CatalogError(f"malformed {where}: {exc}") from exc
 
 
+def _read_once(read, path):
+    """``read(path)``, once per version of the file in this process (see ``_VERIFIED``)."""
+    st = os.stat(path)
+    key = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+    cached = _VERIFIED.get((read, path))
+    if cached is None or cached[0] != key:
+        cached = _VERIFIED[read, path] = (key, read(path))
+    return cached[1]
+
+
+def _read_manifest(path):
+    obj = jsonio.load_path(path)
+    entries = obj.get("entries") if isinstance(obj, dict) else None
+    if not isinstance(entries, list):
+        raise CatalogError(f"{path}: manifest has no entry list")
+    return tuple(entries)
+
+
+def _read_entry(path):
+    entry = entry_from_json(jsonio.load_path(path))
+    if entry.id != path.stem:
+        raise CatalogError(f"{path}: id field {entry.id!r} disagrees with filename")
+    verify_entry(entry)
+    return entry
+
+
 class Catalog:
     """Directory-backed store; reads verify (once per file version), puts verify before writing."""
 
@@ -176,32 +202,17 @@ class Catalog:
         return self.path / "manifest.json"
 
     def ids(self):
-        manifest = self._manifest_path()
-        if not manifest.exists():
+        try:
+            return list(_read_once(_read_manifest, self._manifest_path()))
+        except (FileNotFoundError, NotADirectoryError):
             return []
-        obj = jsonio.load_path(manifest)
-        entries = obj.get("entries") if isinstance(obj, dict) else None
-        if not isinstance(entries, list):
-            raise CatalogError(f"{manifest}: manifest has no entry list")
-        return list(entries)
 
     def get(self, entry_id):
         """The verified entry ``entry_id``; read and verified once per file version."""
-        path = self.path / f"{_check_id(entry_id)}.json"
         try:
-            st = os.stat(path)
+            return _read_once(_read_entry, self.path / f"{_check_id(entry_id)}.json")
         except (FileNotFoundError, NotADirectoryError):
             raise CatalogError(f"unknown catalog id {entry_id!r}") from None
-        key = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
-        cached = _VERIFIED.get(path)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        entry = entry_from_json(jsonio.load_path(path))
-        if entry.id != entry_id:
-            raise CatalogError(f"{path}: id field {entry.id!r} disagrees with filename")
-        verify_entry(entry)
-        _VERIFIED[path] = (key, entry)
-        return entry
 
     def put(self, entry):
         _check_id(entry.id)

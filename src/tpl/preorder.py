@@ -145,15 +145,16 @@ def interpolation_weights(d, e):
 
 
 def _interpolation_certificate(dims, target_dims, eps_maps, d, e):
-    """The block maps of :func:`interpolate` for a degeneration verified with degrees (d, e).
+    """The block maps of :func:`interpolate` for a degeneration with degrees (d, e).
 
     ``dims`` and ``target_dims`` are the source's and target's. Nothing is
-    checked here: the caller has verified the degeneration and measured
-    (d, e), and the weight identity of :func:`interpolation_weights` makes
-    the result a restriction from e + 1 copies of the source. Before any
-    map is evaluated, the table that the e + 1 evaluations fill, one Horner
-    step per entry and degree of the map's range (widened to include 0), is
-    held to the dense size guard; an oversized one raises StructureTooLarge.
+    checked here: (d, e) are measured by :func:`interpolate`'s check, or
+    derived as (k*d, k*e) by :func:`tpl.asymptotic.lattice_construction`.
+    The weight identity of :func:`interpolation_weights` makes the result a
+    restriction from e + 1 source copies. Before any map is evaluated, the
+    table the e + 1 evaluations fill, one Horner step per entry and degree
+    of the map's range (widened to include 0), is held to the dense size
+    guard; an oversized one raises StructureTooLarge.
     """
     width = 0
     for m in eps_maps:

@@ -13,6 +13,7 @@ import time
 from fractions import Fraction
 
 import util
+from util import w_border_cert
 from tpl import jsonio
 from tpl.asymptotic import (
     disjoint_rank_bounds,
@@ -22,7 +23,15 @@ from tpl.asymptotic import (
 )
 from tpl.catalog import Catalog, decomposition_tensor
 from tpl.cli import main as cli_main
-from tpl.hypergraph import Hypergraph, build_structure, fold, fold_to_fan, is_homomorphism, make_family
+from tpl.hypergraph import (
+    Hypergraph,
+    build_structure,
+    fold,
+    fold_to_fan,
+    is_homomorphism,
+    make_family,
+    structure_dims,
+)
 from tpl.matrix import Matrix, rank
 from tpl.named import epr, ghz, mamu, w_state
 from tpl.obstructions import (
@@ -72,12 +81,6 @@ class Budget:
         else:
             print(f"ACCEPTANCE {self.name}: FAIL")
         return False
-
-
-def w_border_cert():
-    c, e = EpsPoly.const, EpsPoly.eps
-    m = Matrix(2, 2, {(0, 0): c(1), (1, 0): e(1), (0, 1): c(-1)}, EPS)
-    return DegenerationCertificate((m, m, m), d=1, e=2)
 
 
 def test_criterion_1_orbit_suite():
@@ -314,6 +317,15 @@ def test_criterion_11_lattice_at_n_6():
             src = build_structure(h, ghz(2))
             dst = build_structure(h, w_state())
             assert [m.dims for m in cert.maps] == [(b, 13 * a) for a, b in zip(src.dims, dst.dims)]
+
+
+def test_criterion_12_lattice_at_n_12():
+    with Budget("12 (lattice construction at n = 12)", 3.0):
+        for family in ("Triangular", "Kagome"):
+            cert = lattice_construction(ghz(2), w_state(), w_border_cert(), family, 12)
+            h = make_family(family, 12)
+            dims = zip(structure_dims(h, ghz(2)), structure_dims(h, w_state()))
+            assert [m.dims for m in cert.maps] == [(b, 25 * a) for a, b in dims]
 
 
 def _run_cli(argv, stdin_text=None):

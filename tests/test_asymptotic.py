@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import util
+from util import w_border_cert
 from test_preorder import w_border_cert_with_tail
 from tpl.asymptotic import (
     Bound,
@@ -27,18 +28,13 @@ from tpl.obstructions import KoszulSpec, koszul_flatten
 from tpl.preorder import (
     CertificateError,
     DegenerationCertificate,
+    _interpolation_certificate,
     interpolate,
     verify_degeneration,
     verify_restriction,
 )
 from tpl.scalars import EPS, EpsPoly, QC
 from tpl.tensor import Tensor, apply_product_map, direct_sum_many, kron
-
-
-def w_border_cert():
-    c, e = EpsPoly.const, EpsPoly.eps
-    m = Matrix(2, 2, {(0, 0): c(1), (1, 0): e(1), (0, 1): c(-1)}, EPS)
-    return DegenerationCertificate((m, m, m), d=1, e=2)
 
 
 def test_unit_size():
@@ -325,32 +321,50 @@ def structure_degeneration(h, cert):
 
 
 def assert_matches_reference(t, other, cert, d, e, family, n):
-    """lattice_construction equals interpolating the fully verified structure degeneration."""
+    """lattice_construction equals interpolating the verified structure degeneration.
+
+    The structure check must measure (k*d, k*e), k the number of edges, which
+    lattice_construction derives instead. Up to n = 3 the reference is the
+    full interpolate, which also checks the restriction it returns.
+    """
     h = make_family(family, n)
+    k = h.n_edges
     source = build_structure(h, t)
     target = build_structure(h, other)
     structure_cert = structure_degeneration(h, cert)
-    assert verify_degeneration(source, target, structure_cert) == (True, n * d, n * e)
-    expected = interpolate(source, target, structure_cert)
+    assert verify_degeneration(source, target, structure_cert) == (True, k * d, k * e)
+    expected = _interpolation_certificate(source.dims, target.dims, structure_cert.maps, k * d, k * e)
     assert lattice_construction(t, other, cert, family, n) == expected
+    if n <= 3:
+        assert interpolate(source, target, structure_cert) == expected
 
 
-@pytest.mark.parametrize("family", ["Triangular", "Kagome"])
-@pytest.mark.parametrize("n", [1, 2, 3])
+# (n, family): Triangular and Kagome up to n = 6, the other families up to n = 3.
+LATTICE_CASES = [(n, family) for family in ("Triangular", "Kagome") for n in range(1, 7)] + [
+    (n, family) for family in ("Strassen", "Disjoint", "Fan") for n in range(1, 4)
+]
+
+
+@pytest.mark.parametrize("n, family", LATTICE_CASES)
 def test_lattice_construction_matches_reference_w_border(family, n):
     assert_matches_reference(ghz(2), w_state(), w_border_cert(), 1, 2, family, n)
 
 
 def test_lattice_construction_matches_reference_random_edges():
+    # Up to n = 4: the first edge tensor is dense (8 entries), and its
+    # structure check alone takes about 10 s at n = 6.
     for t, target, cert, d, e in random_edge_degenerations(random.Random(8), 3):
-        assert_matches_reference(t, target, cert, d, e, "Triangular", 2)
+        for n, family in LATTICE_CASES:
+            if n <= 4:
+                assert_matches_reference(t, target, cert, d, e, family, n)
 
 
 @pytest.mark.parametrize("family", ["Triangular", "Kagome"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_lattice_certificate_is_a_restriction(family, n):
-    # lattice_construction verifies the structure degeneration and does not
-    # re-check the restriction it interpolates; the restriction is checked here.
+    # lattice_construction derives the structure degeneration's degrees and
+    # checks neither it nor the restriction it interpolates; the restriction
+    # is checked here.
     h = make_family(family, n)
     source = build_structure(h, ghz(2))
     target = build_structure(h, w_state())
@@ -358,35 +372,27 @@ def test_lattice_certificate_is_a_restriction(family, n):
     assert verify_restriction(direct_sum_many([source] * (2 * n + 1)), target, cert)
 
 
-def test_lattice_construction_refuses_a_structure_that_does_not_verify(monkeypatch):
-    # The target structure loses one entry after the edge certificate has
-    # verified, so only the structure degeneration check can catch it.
-    from tpl import asymptotic
-
-    built = []
-
-    def drop_an_entry(h, t):
-        s = build_structure(h, t)
-        built.append(s)
-        if len(built) == 2:
-            entries = dict(s.entries)
-            entries.pop(min(entries))
-            s = Tensor(s.dims, entries)
-        return s
-
-    monkeypatch.setattr(asymptotic, "build_structure", drop_an_entry)
-    with pytest.raises(CertificateError, match="structure degeneration"):
-        lattice_construction(ghz(2), w_state(), w_border_cert(), "Triangular", 2)
-
-
 def test_lattice_construction_guards_and_errors():
     bad = DegenerationCertificate(
         (Matrix.identity(2).to_eps(),) * 3
     )
-    with pytest.raises(Exception):
+    with pytest.raises(CertificateError, match="degeneration certificate does not verify"):
         lattice_construction(ghz(2), w_state(), bad, "Triangular", 1)
-    with pytest.raises(StructureTooLarge):
+    with pytest.raises(StructureTooLarge, match="interpolation evaluation table"):
         lattice_construction(ghz(2), w_state(), w_border_cert(), "Triangular", 30)
+
+
+def test_lattice_construction_bounds_the_vertex_maps_before_any_kron(monkeypatch):
+    # Strassen n = 20 puts 20 edge maps on each of its 3 vertices: 3 * 3^20
+    # vertex-map entries, refused before any of them is built.
+    def no_kron(*args):
+        raise AssertionError("the guard let a vertex map be built")
+
+    monkeypatch.setattr(Matrix, "kron", no_kron)
+    start = time.perf_counter()
+    with pytest.raises(StructureTooLarge):
+        lattice_construction(ghz(2), w_state(), w_border_cert(), "Strassen", 20)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_lattice_construction_guards_the_evaluation_table(monkeypatch):

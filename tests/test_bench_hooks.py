@@ -3,7 +3,7 @@
 import importlib.util
 from pathlib import Path
 
-from test_preorder import w_border_cert
+from util import w_border_cert
 
 import tpl
 from tpl.catalog import Catalog

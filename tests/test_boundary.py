@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 import pytest
-from test_preorder import w_border_cert
+from util import w_border_cert
 
 from tpl import jsonio
 from tpl.catalog import Catalog

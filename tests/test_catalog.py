@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 import util
+from util import w_border_cert
 
-from tpl import catalog
+from tpl import catalog, jsonio
 from tpl.asymptotic import disjoint_rank_bounds, strassen_rank_bounds
 from tpl.catalog import (
     Catalog,
@@ -20,16 +21,10 @@ from tpl.catalog import (
     entry_to_json,
     verify_entry,
 )
-from tpl.matrix import Matrix
 from tpl.named import NamedTensorSpec, epr, ghz, make_named, mamu, w_state
 from tpl.preorder import DegenerationCertificate
-from tpl.scalars import EPS, EpsPoly, QC
+from tpl.scalars import QC
 from tpl.tensor import Tensor, kron
-
-def w_border_cert():
-    c, e = EpsPoly.const, EpsPoly.eps
-    m = Matrix(2, 2, {(0, 0): c(1), (1, 0): e(1), (0, 1): c(-1)}, EPS)
-    return DegenerationCertificate((m, m, m), d=1, e=2)
 
 
 def w_rank3_terms():
@@ -365,3 +360,26 @@ def test_a_failing_entry_is_never_cached(tmp_path, verify_calls):
     assert verify_calls["w-rank3"] == 3
     path.write_text(good)
     assert cat.get("w-rank3").tensor == w_state()
+
+
+def test_the_manifest_is_read_once_per_version(tmp_path, verify_calls, monkeypatch):
+    cat = Catalog(tmp_path)
+    cat.put(w_entry())
+    reads = Counter()
+    real = jsonio.load_path
+
+    def counting(path):
+        reads[os.path.basename(path)] += 1
+        return real(path)
+
+    monkeypatch.setattr(jsonio, "load_path", counting)
+    for _ in range(2):
+        assert [e.id for e in cat.load_all()] == ["w-rank3"]
+    assert reads["manifest.json"] == 1
+    cat.ids().append("not-stored")
+    assert cat.ids() == ["w-rank3"]
+    with pytest.raises(CatalogError, match="malformed"):
+        cat.get("manifest")  # the same file, read as an entry, is not served the id list
+    cat.put(CatalogEntry(id="w-copy", tensor=w_state(), decomposition=w_rank3_terms()))
+    assert [e.id for e in cat.load_all()] == ["w-copy", "w-rank3"]
+    assert reads["manifest.json"] == 3  # the get("manifest"), then the new version

@@ -6,9 +6,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from test_preorder import w_border_cert
 
 import util
+from util import w_border_cert
 from tpl import jsonio
 from tpl.cli import main
 from tpl.matrix import Matrix, flatten

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import util
+from util import w_border_cert
 from tpl.matrix import Matrix
 from tpl.named import ghz, w_state
 from tpl.preorder import (
@@ -23,12 +24,6 @@ from tpl.preorder import (
 )
 from tpl.scalars import EPS, EpsPoly, QC
 from tpl.tensor import StructureTooLarge, Tensor, apply_product_map, direct_sum_many
-
-
-def w_border_cert():
-    c, e = EpsPoly.const, EpsPoly.eps
-    m = Matrix(2, 2, {(0, 0): c(1), (1, 0): e(1), (0, 1): c(-1)}, EPS)
-    return DegenerationCertificate((m, m, m), d=1, e=2)
 
 
 def w_border_cert_with_tail(degree):

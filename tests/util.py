@@ -15,7 +15,8 @@ The rest are test-only builders and oracles: :func:`matrix_from_rows`,
 :func:`representative_222` (one tensor per 2x2x2 orbit),
 :func:`wedge_power_matrix` (the Koszul covariance oracle, minors by
 :func:`_det`) and :func:`subadditive_split` (the families'
-subadditivity, witnessed by a fold).
+subadditivity, witnessed by a fold). :func:`w_border_cert` is the
+border-rank-2 degeneration GHZ_2 |> W that many tests share.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import numpy as np
 from tpl import scalars
 from tpl.hypergraph import GroupingMap, Hypergraph, fold, make_family, resolve_assignment
 from tpl.matrix import Matrix
-from tpl.preorder import OrbitClass222
-from tpl.scalars import QC, RATIONAL
+from tpl.preorder import DegenerationCertificate, OrbitClass222
+from tpl.scalars import EPS, QC, RATIONAL, EpsPoly
 from tpl.tensor import Tensor
 
 
@@ -194,6 +195,13 @@ def decomposition_ref(dims, terms):
                 v = v * vec[i]
             acc[idx] = acc.get(idx, QC(0)) + v
     return Tensor(dims, {i: v for i, v in acc.items() if v}, RATIONAL)
+
+
+def w_border_cert():
+    """GHZ_2 |> W with d = 1, e = 2: every map is [[1, -1], [eps, 0]]."""
+    c, e = EpsPoly.const, EpsPoly.eps
+    m = Matrix(2, 2, {(0, 0): c(1), (1, 0): e(1), (0, 1): c(-1)}, EPS)
+    return DegenerationCertificate((m, m, m), d=1, e=2)
 
 
 def matrix_from_rows(data, domain=RATIONAL):
