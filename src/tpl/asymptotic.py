@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 
 from .catalog import Catalog
 from .hypergraph import make_family, structure_dims
-from .matrix import Matrix, rank
+from .matrix import rank
 from .named import ghz, mamu
 from .obstructions import KoszulSpec, flattening_ratio, gauge_points, koszul_flatten
 from .preorder import CertificateError, _interpolation_certificate, verify_degeneration
@@ -250,13 +249,17 @@ def lattice_construction(t, other, degcert, family, n):
 
     Verifies the edge degeneration t |> other, measuring its degrees (d, e),
     and places its eps maps on the k = ``h.n_edges`` edges of the n-face
-    patch, one Kronecker product per vertex. The structure image is the
-    grouped tensor product of the k edge images, and eps degrees add under
-    it (a product of nonzero tensors over Q(i) is nonzero), so the maps
-    degenerate the source structure to the target one with (D, E) =
-    (k*d, k*e), derived rather than measured: no structure is built. The
-    interpolation evaluates the maps at E + 1 points; E + 1 times their entry
-    count over the dense size guard raises StructureTooLarge before any kron.
+    patch: each vertex map is the Kronecker product of its edges' maps. The
+    structure image is the grouped tensor product of the k edge images, and
+    eps degrees add under it (a product of nonzero tensors over Q(i) is
+    nonzero), so the vertex maps degenerate the source structure to the
+    target one with (D, E) = (k*d, k*e), derived rather than measured: no
+    structure is built. No eps vertex map is built either: evaluation
+    commutes with the Kronecker product, so the interpolation evaluates each
+    edge map once at the E + 1 points and forms each vertex block as the
+    integer Kronecker product of those values. E + 1 times the vertex maps'
+    entry count over the dense size guard raises StructureTooLarge before
+    any evaluation.
     """
     ok, d, e = verify_degeneration(t, other, degcert)
     if not ok:
@@ -268,8 +271,8 @@ def lattice_construction(t, other, degcert, family, n):
         raise StructureTooLarge(
             f"{k * e + 1} evaluations of {entries} vertex-map entries exceed {DENSE_ENTRY_GUARD}"
         )
-    maps = [reduce(Matrix.kron, [degcert.maps[pos] for pos, _edge in vs]) for vs in slots]
-    return _interpolation_certificate(structure_dims(h, t), structure_dims(h, other), maps, k * d, k * e)
+    factors = [[degcert.maps[pos] for pos, _edge in vs] for vs in slots]
+    return _interpolation_certificate(structure_dims(h, t), structure_dims(h, other), factors, k * d, k * e)
 
 
 def omega_bound(alpha, beta):

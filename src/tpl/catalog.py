@@ -29,8 +29,10 @@ from .tensor import Tensor, apply_product_map
 ENV_CATALOG_DIR = "TPL_CATALOG"
 _PACKAGED_CATALOG = Path(__file__).parent / "data" / "catalog"
 # An id names the file <id>.json inside the catalog directory, so it may not
-# contain a path separator or start with a dot.
+# contain a path separator or start with a dot. No entry may be stored as
+# "manifest": that file lists the ids.
 _ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
+_MANIFEST_ID = "manifest"
 # (reader, file path) -> (stat key, what the reader returned): a verified
 # CatalogEntry or the manifest's ids. The key is taken before the file is
 # read, so a file replaced mid-read is read again next time, never stale.
@@ -199,7 +201,7 @@ class Catalog:
         return cls(_PACKAGED_CATALOG)
 
     def _manifest_path(self):
-        return self.path / "manifest.json"
+        return self.path / f"{_MANIFEST_ID}.json"
 
     def ids(self):
         try:
@@ -215,7 +217,8 @@ class Catalog:
             raise CatalogError(f"unknown catalog id {entry_id!r}") from None
 
     def put(self, entry):
-        _check_id(entry.id)
+        if _check_id(entry.id) == _MANIFEST_ID:
+            raise CatalogError(f"bad catalog id {entry.id!r}: it names the catalog's manifest file")
         verify_entry(entry)
         self.path.mkdir(parents=True, exist_ok=True)
         # Entry first, then manifest: a crash in between leaves at most an

@@ -10,10 +10,8 @@ relative threshold. Rank over the eps domain is rejected.
 
 from __future__ import annotations
 
-import math
-
 from . import scalars
-from .scalars import EPS, FLOAT, RATIONAL, QC, _common_denominator, _qc
+from .scalars import EPS, FLOAT, RATIONAL, QC, _reduced
 from .tensor import GroupingSpec, Tensor, _check_entries, _tensor, apply_product_map, group, kron
 
 DEFAULT_FLOAT_RANK_TOL = 1e-9
@@ -77,49 +75,15 @@ class Matrix(Tensor):
     def eval_eps(self, point):
         """Evaluate an eps-domain matrix at an exact point (int, Fraction or QC).
 
-        All entries share one integer lane. With D the lcm of the
-        coefficient denominators, L..H the matrix's degree range widened to
-        include 0, and point = u/w (u a Gaussian integer, w > 0), an entry
-        sum_k c_k eps^k evaluates to S / (D * w^H * u^-L), where
-        S = sum_k D*c_k * u^(k-L) * w^(H-k) comes from Horner's rule over
-        ints. A negative L (a Laurent term) needs a nonzero point, and a
-        complex u leaves the denominator through its conjugate. Each entry
-        is reduced with one gcd; this equals ``EpsPoly.eval`` entrywise.
+        The one-point case of :func:`tpl.scalars._eval_table`: all entries
+        share one integer lane, and each is reduced with one gcd. This
+        equals ``EpsPoly.eval`` entrywise; a Laurent entry needs a nonzero
+        point.
         """
         if self.domain != EPS:
             raise ValueError("eval_eps requires an eps-domain matrix")
-        point = QC.coerce(point)
-        ua, ub, w = point._a, point._b, point._n
-        coeffs = [c for p in self.entries.values() for c in p.coeffs.values()]
-        degrees = [k for p in self.entries.values() for k in p.coeffs]
-        low, high = min(degrees + [0]), max(degrees + [0])
-        lcm, scale = _common_denominator(coeffs)
-        den = lcm * w**high
-        wpow = [w ** (high - k) for k in range(low, high + 1)]
-        if low < 0:
-            if not (ua or ub):
-                raise ZeroDivisionError("Laurent eps entry evaluated at 0")
-            # 1 / u^m = conj(u)^m / |u|^(2m)
-            ca, cb = 1, 0
-            for _ in range(-low):
-                ca, cb = ca * ua + cb * ub, cb * ua - ca * ub
-            den *= (ua * ua + ub * ub) ** -low
-        entries = {}
-        for ij, p in self.entries.items():
-            x = y = 0
-            pc = p.coeffs
-            for k in range(high, low - 1, -1):
-                x, y = x * ua - y * ub, x * ub + y * ua
-                c = pc.get(k)
-                if c is not None:
-                    f = scale[c._n] * wpow[k - low]
-                    x += c._a * f
-                    y += c._b * f
-            if low < 0:
-                x, y = x * ca - y * cb, x * cb + y * ca
-            if x or y:
-                g = math.gcd(x, y, den)
-                entries[ij] = _qc(x // g, y // g, den // g)
+        (nums, den), = scalars._eval_table(self.entries.values(), [QC.coerce(point)])
+        entries = {ij: _reduced(x, y, den) for ij, (x, y) in zip(self.entries, nums) if x or y}
         return _tensor(self.dims, entries, RATIONAL, Matrix)
 
 

@@ -13,12 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from . import scalars
 from .matrix import Matrix, flatten, rank
 from .obstructions import hyperdeterminant_222
-from .scalars import EPS, RATIONAL, QC
+from .scalars import EPS, RATIONAL, QC, _qc, _reduced
 from .tensor import _tensor, apply_product_map, check_dense_size, direct_sum_many, lowest_eps_image
 
 
@@ -121,13 +120,14 @@ def interpolate(t, target, degcert):
     block row [m_j(1) | ... | m_j(e+1)]; the factor-1 blocks are pre-scaled
     by the interpolation weights that extract the eps^d coefficient. The
     degeneration is verified once, here, and its measured degrees (d, e)
-    drive the interpolation; the output restriction is verified exactly
-    before being returned.
+    drive the interpolation, which evaluates each map once at all e + 1
+    points (:func:`_interpolation_certificate`); the output restriction is
+    verified exactly before being returned.
     """
     ok, d, e = verify_degeneration(t, target, degcert)
     if not ok:
         raise CertificateError("degeneration certificate does not verify; refusing to interpolate")
-    cert = _interpolation_certificate(t.dims, target.dims, degcert.maps, d, e)
+    cert = _interpolation_certificate(t.dims, target.dims, [(m,) for m in degcert.maps], d, e)
     if not verify_restriction(direct_sum_many([t] * (e + 1)), target, cert):
         raise CertificateError("interpolated certificate failed exact verification")
     return cert
@@ -141,39 +141,88 @@ def interpolation_weights(d, e):
     w_i is that divided by x_i^d. Any integer d works, negative (Laurent)
     included.
     """
-    return [QC((-1) ** i * math.comb(e + 1, i + 1) / Fraction(i + 1) ** d) for i in range(e + 1)]
+    weights = []
+    for x in range(1, e + 2):
+        c = (-1) ** (x - 1) * math.comb(e + 1, x)
+        weights.append(_reduced(c, 0, x**d) if d >= 0 else _qc(c * x**-d, 0, 1))
+    return weights
 
 
-def _interpolation_certificate(dims, target_dims, eps_maps, d, e):
+def _interpolation_certificate(dims, target_dims, factors, d, e):
     """The block maps of :func:`interpolate` for a degeneration with degrees (d, e).
 
-    ``dims`` and ``target_dims`` are the source's and target's. Nothing is
-    checked here: (d, e) are measured by :func:`interpolate`'s check, or
-    derived as (k*d, k*e) by :func:`tpl.asymptotic.lattice_construction`.
-    The weight identity of :func:`interpolation_weights` makes the result a
-    restriction from e + 1 source copies. Before any map is evaluated, the
-    table the e + 1 evaluations fill, one Horner step per entry and degree
-    of the map's range (widened to include 0), is held to the dense size
-    guard; an oversized one raises StructureTooLarge.
+    ``factors[j]`` lists the eps maps whose Kronecker product is the
+    factor-j map: one map for :func:`interpolate`, a vertex's edge maps for
+    :func:`tpl.asymptotic.lattice_construction`. ``dims`` and
+    ``target_dims`` are the source's and target's. Nothing is checked here:
+    (d, e) are measured by :func:`interpolate`'s check, or derived as
+    (k*d, k*e) by ``lattice_construction``. The weight identity of
+    :func:`interpolation_weights` makes the result a restriction from e + 1
+    source copies.
+
+    Before any map is evaluated, the evaluation table (e + 1 points times,
+    per factor, its map's entry count times its degree range widened to
+    include 0) is held to the dense size guard; an oversized one raises
+    StructureTooLarge. Under a Kronecker product entry counts multiply and
+    degree extremes add, so the table is computed from the listed maps.
+    Each listed map is then evaluated once at all points, in integers
+    (:func:`tpl.scalars._eval_table`). Evaluation commutes with the
+    Kronecker product, so each block is the integer Kronecker product of
+    its maps' values (:func:`_kron_values`); the factor-0 weight is folded
+    into its numerators and denominator, and each entry is reduced with
+    one gcd.
     """
     width = 0
-    for m in eps_maps:
-        degrees = [k for p in m.entries.values() for k in p.coeffs] + [0]
-        width += m.nnz() * (max(degrees) - min(degrees) + 1)
+    for maps in factors:
+        nnz, low, high = 1, 0, 0
+        for m in maps:
+            degrees = [k for p in m.entries.values() for k in p.coeffs]
+            nnz *= m.nnz()
+            low, high = low + min(degrees, default=0), high + max(degrees, default=0)
+        width += nnz * (max(high, 0) - min(low, 0) + 1)
     check_dense_size((e + 1, width), "interpolation evaluation table")
+    points = [QC(x) for x in range(1, e + 2)]
+    values = {}
+    for maps in factors:
+        for m in maps:
+            if id(m) not in values:
+                values[id(m)] = [
+                    ([(ij, xy) for ij, xy in zip(m.entries, nums) if xy[0] or xy[1]], den)
+                    for nums, den in scalars._eval_table(m.entries.values(), points)
+                ]
     weights = interpolation_weights(d, e)
-    maps = []
-    for j, m in enumerate(eps_maps):
+    out = []
+    for j, maps in enumerate(factors):
         cols = dims[j]
         entries = {}
-        for i, w in enumerate(weights):
-            block = m.eval_eps(i + 1).entries
-            if j == 0:
-                block = {rc: v * w for rc, v in block.items()}
-            for (r, c), v in block.items():
-                entries[(r, c + i * cols)] = v
-        maps.append(_tensor((target_dims[j], cols * (e + 1)), entries, RATIONAL, Matrix))
-    return RestrictionCertificate(tuple(maps))
+        for i, (block, den) in enumerate(_kron_values(maps, [values[id(m)] for m in maps])):
+            scale = 1
+            if j == 0:  # the weights are real
+                scale, den = weights[i]._a, den * weights[i]._n
+            offset = i * cols
+            for (r, c), (x, y) in block:
+                x, y = x * scale, y * scale
+                g = math.gcd(x, y, den)
+                entries[(r, c + offset)] = _qc(x // g, y // g, den // g)
+        out.append(_tensor((target_dims[j], cols * (e + 1)), entries, RATIONAL, Matrix))
+    return RestrictionCertificate(tuple(out))
+
+
+def _kron_values(maps, values):
+    """The Kronecker product of evaluated maps, in integers, point by point.
+
+    ``values[f][i]`` is ``maps[f]`` at point i: its nonzero entries as
+    ((row, col), (x, y)) and their shared denominator. Returns the same
+    per point for the product, with row-major index packing as in
+    ``Matrix.kron``, and the product of the denominators, unreduced.
+    """
+    out = values[0]
+    for m, table in zip(maps[1:], values[1:]):
+        rows, cols = m.rows, m.cols
+        out = [([((r * rows + r2, c * cols + c2), (x * x2 - y * y2, x * y2 + y * x2))
+                 for (r, c), (x, y) in block for (r2, c2), (x2, y2) in pairs], den * d)
+               for (block, den), (pairs, d) in zip(out, table)]
+    return out
 
 
 class OrbitClass222(Enum):

@@ -229,6 +229,66 @@ def _common_denominator(coeffs):
     return den, scale
 
 
+def _eval_table(polys, points):
+    """Values of eps polynomials at exact points, on one integer lane per point.
+
+    ``polys`` are EpsPoly values and ``points`` QC values u/w (u a Gaussian
+    integer, w > 0). Returns, per point, ``(nums, den)``: at that point
+    ``polys[j]`` is (x + y*i) / den with (x, y) = ``nums[j]``, unreduced.
+    The denominators are cleared once: with D the lcm of the coefficient
+    denominators and L..H the degree range widened to include 0, each
+    polynomial's D*c_k are laid out once, and Horner's rule over ints gives
+    S = sum_k D*c_k * u^(k-L) * w^(H-k), so the value is S / (D * w^H * u^-L).
+    An integer point (w = 1) needs no w powers. A negative L (a Laurent
+    term) needs a nonzero point, and a complex u leaves the denominator
+    through its conjugate.
+    """
+    polys = list(polys)
+    coeffs = [c for p in polys for c in p.coeffs.values()]
+    degrees = [k for p in polys for k in p.coeffs]
+    low, high = min(degrees + [0]), max(degrees + [0])
+    lcm, scale = _common_denominator(coeffs)
+    layouts = []
+    for p in polys:
+        pc = p.coeffs
+        row = []
+        for k in range(high, low - 1, -1):
+            c = pc.get(k)
+            row.append((0, 0) if c is None else (c._a * scale[c._n], c._b * scale[c._n]))
+        layouts.append(row)
+    table = []
+    for point in points:
+        ua, ub, w = point._a, point._b, point._n
+        rows = layouts
+        if w != 1:
+            wpow = [w**j for j in range(high - low + 1)]
+            rows = [[(a * f, b * f) for (a, b), f in zip(row, wpow)] for row in layouts]
+        nums = []
+        for row in rows:
+            x = y = 0
+            for a, b in row:
+                x, y = x * ua - y * ub + a, x * ub + y * ua + b
+            nums.append((x, y))
+        den = lcm * w**high
+        if low < 0:
+            if not (ua or ub):
+                raise ZeroDivisionError("Laurent eps entry evaluated at 0")
+            # 1 / u^m = conj(u)^m / |u|^(2m)
+            ca, cb = 1, 0
+            for _ in range(-low):
+                ca, cb = ca * ua + cb * ub, cb * ua - ca * ub
+            den *= (ua * ua + ub * ub) ** -low
+            nums = [(x * ca - y * cb, x * cb + y * ca) for x, y in nums]
+        table.append((nums, den))
+    return table
+
+
+def _reduced(a, b, n):
+    """QC (a + b*i)/n for ints with n > 0, reduced by one gcd."""
+    g = math.gcd(a, b, n)
+    return _qc(a // g, b // g, n // g)
+
+
 def _eps(coeffs):
     """EpsPoly from a map degree -> nonzero QC, unchecked."""
     v = object.__new__(EpsPoly)
@@ -320,25 +380,13 @@ class EpsPoly:
         return self.coeffs.get(degree, QC_ZERO)
 
     def eval(self, point):
-        """Evaluate at an exact point (Fraction or QC).
+        """Evaluate at an exact point (int, Fraction or QC), by :func:`_eval_table`.
 
-        Horner's rule down to the lowest degree m, or to 0 when m > 0, so
-        the value is point^m * sum_k c_k point^(k-m). A negative m (a Laurent
-        term) divides by the point -m times, so the point must be nonzero.
+        A negative degree (a Laurent term) divides by the point, so the
+        point must be nonzero.
         """
-        point = QC.coerce(point)
-        if not self.coeffs:
-            return QC_ZERO
-        low, high = min(self.coeffs), max(self.coeffs)
-        acc = self.coeffs[high]
-        for d in range(high - 1, min(low, 0) - 1, -1):
-            acc = acc * point
-            c = self.coeffs.get(d)
-            if c is not None:
-                acc = acc + c
-        for _ in range(-low):
-            acc = acc / point
-        return acc
+        (((x, y),), den), = _eval_table([self], [QC.coerce(point)])
+        return _reduced(x, y, den)
 
     def __repr__(self):
         if not self.coeffs:

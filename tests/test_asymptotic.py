@@ -20,6 +20,7 @@ from tpl.asymptotic import (
     strassen_rank_bounds,
     unit_size,
 )
+from tpl import preorder, scalars
 from tpl.catalog import Catalog
 from tpl.hypergraph import build_structure, make_family
 from tpl.matrix import Matrix, rank
@@ -28,7 +29,6 @@ from tpl.obstructions import KoszulSpec, koszul_flatten
 from tpl.preorder import (
     CertificateError,
     DegenerationCertificate,
-    _interpolation_certificate,
     interpolate,
     verify_degeneration,
     verify_restriction,
@@ -218,48 +218,7 @@ def test_lattice_construction_two_face_patch():
 
 
 def test_lattice_construction_small_random_property():
-    rng = random.Random(8)
-    rounds = 0
-    while rounds < 3:
-        t = util.random_rational_tensor(rng, (2, 2, 2), density=0.6, den=2)
-        if t.is_zero():
-            continue
-        maps = []
-        for _ in range(3):
-            entries = {}
-            for i in range(2):
-                for j in range(2):
-                    coeffs = {}
-                    for deg in (0, 1):
-                        if rng.random() < 0.6:
-                            v = QC(Fraction(rng.randint(-1, 1)))
-                            if v:
-                                coeffs[deg] = v
-                    if coeffs:
-                        entries[(i, j)] = EpsPoly(coeffs)
-            maps.append(Matrix(2, 2, entries, EPS))
-        from tpl.preorder import verify_degeneration
-
-        cert = DegenerationCertificate(tuple(maps))
-        try:
-            from tpl.tensor import apply_product_map
-
-            image = apply_product_map(maps, t.to_eps())
-        except ValueError:
-            continue
-        if image.is_zero():
-            continue
-        degrees = set()
-        for p in image.entries.values():
-            degrees.update(p.coeffs)
-        e = max(degrees) - min(degrees)
-        if e > 2:
-            continue
-        d = min(degrees)
-        target = Tensor(
-            image.dims,
-            {i: p.coefficient(d) for i, p in image.entries.items() if p.coefficient(d)},
-        )
+    for t, target, cert, _d, _e in random_edge_degenerations(random.Random(8), 3):
         out = lattice_construction(t, target, cert, "Triangular", 2)
         h = make_family("Triangular", 2)
         src_structure = build_structure(h, t)
@@ -268,11 +227,18 @@ def test_lattice_construction_small_random_property():
         assert verify_restriction(
             direct_sum_many([src_structure] * reps), dst_structure, out
         )
-        rounds += 1
 
 
-def random_edge_degenerations(rng, count):
-    """The random edge certificates of the property test above: (t, target, cert, d, e)."""
+def _gaussian_coefficient(rng):
+    return QC(Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3))), Fraction(rng.randint(-2, 2), rng.choice((1, 2))))
+
+
+def random_edge_degenerations(rng, count, gaussian=False):
+    """Random 2x2x2 edge degenerations with e <= 2: (t, target, cert, d, e).
+
+    The maps are 2x2 with coefficients in -1..1 at degrees 0 and 1; with
+    ``gaussian``, Gaussian rationals at degrees -1..1 (Laurent terms).
+    """
     out = []
     while len(out) < count:
         t = util.random_rational_tensor(rng, (2, 2, 2), density=0.6, den=2)
@@ -284,9 +250,9 @@ def random_edge_degenerations(rng, count):
             for i in range(2):
                 for j in range(2):
                     coeffs = {}
-                    for deg in (0, 1):
+                    for deg in (-1, 0, 1) if gaussian else (0, 1):
                         if rng.random() < 0.6:
-                            v = QC(Fraction(rng.randint(-1, 1)))
+                            v = _gaussian_coefficient(rng) if gaussian else QC(Fraction(rng.randint(-1, 1)))
                             if v:
                                 coeffs[deg] = v
                     if coeffs:
@@ -309,19 +275,8 @@ def random_edge_degenerations(rng, count):
     return out
 
 
-def structure_degeneration(h, cert):
-    """Per-vertex Kronecker products of the edge maps, in slot order."""
-    maps = []
-    for slots in h.vertex_slots():
-        m = None
-        for pos, _edge in slots:
-            m = cert.maps[pos] if m is None else m.kron(cert.maps[pos])
-        maps.append(m)
-    return DegenerationCertificate(tuple(maps))
-
-
 def assert_matches_reference(t, other, cert, d, e, family, n):
-    """lattice_construction equals interpolating the verified structure degeneration.
+    """lattice_construction equals the reference interpolation of the verified structure degeneration.
 
     The structure check must measure (k*d, k*e), k the number of edges, which
     lattice_construction derives instead. Up to n = 3 the reference is the
@@ -331,9 +286,9 @@ def assert_matches_reference(t, other, cert, d, e, family, n):
     k = h.n_edges
     source = build_structure(h, t)
     target = build_structure(h, other)
-    structure_cert = structure_degeneration(h, cert)
+    structure_cert = util.structure_degeneration(h, cert)
     assert verify_degeneration(source, target, structure_cert) == (True, k * d, k * e)
-    expected = _interpolation_certificate(source.dims, target.dims, structure_cert.maps, k * d, k * e)
+    expected = util.interpolation_certificate_ref(source.dims, target.dims, structure_cert.maps, k * d, k * e)
     assert lattice_construction(t, other, cert, family, n) == expected
     if n <= 3:
         assert interpolate(source, target, structure_cert) == expected
@@ -357,6 +312,20 @@ def test_lattice_construction_matches_reference_random_edges():
         for n, family in LATTICE_CASES:
             if n <= 4:
                 assert_matches_reference(t, target, cert, d, e, family, n)
+
+
+@pytest.mark.parametrize("family", ["Triangular", "Kagome"])
+def test_lattice_construction_matches_the_eps_kron_reference(family):
+    # Gaussian, fractional and Laurent edge maps next to the real W border
+    # certificate, against eps vertex maps evaluated entry by entry.
+    edges = random_edge_degenerations(random.Random(17), 2, gaussian=True)
+    assert any(p._b for _t, _u, cert, _d, _e in edges for m in cert.maps
+               for q in m.entries.values() for p in q.coeffs.values())
+    cases = [(t, target, cert) for t, target, cert, _d, _e in edges] + [(ghz(2), w_state(), w_border_cert())]
+    for n in range(1, 7):
+        for t, target, cert in cases:
+            expected = util.lattice_construction_ref(t, target, cert, family, n)
+            assert lattice_construction(t, target, cert, family, n) == expected
 
 
 @pytest.mark.parametrize("family", ["Triangular", "Kagome"])
@@ -384,13 +353,13 @@ def test_lattice_construction_guards_and_errors():
 
 def test_lattice_construction_bounds_the_vertex_maps_before_any_kron(monkeypatch):
     # Strassen n = 20 puts 20 edge maps on each of its 3 vertices: 3 * 3^20
-    # vertex-map entries, refused before any of them is built.
+    # vertex-map entries, refused before any vertex block is built.
     def no_kron(*args):
-        raise AssertionError("the guard let a vertex map be built")
+        raise AssertionError("the guard let a vertex block be built")
 
-    monkeypatch.setattr(Matrix, "kron", no_kron)
+    monkeypatch.setattr(preorder, "_kron_values", no_kron)
     start = time.perf_counter()
-    with pytest.raises(StructureTooLarge):
+    with pytest.raises(StructureTooLarge, match="vertex-map entries"):
         lattice_construction(ghz(2), w_state(), w_border_cert(), "Strassen", 20)
     assert time.perf_counter() - start < 1.0
 
@@ -403,7 +372,7 @@ def test_lattice_construction_guards_the_evaluation_table(monkeypatch):
     def no_eval(*args):
         raise AssertionError("the guard let a map be evaluated")
 
-    monkeypatch.setattr(Matrix, "eval_eps", no_eval)
+    monkeypatch.setattr(scalars, "_eval_table", no_eval)
     with pytest.raises(StructureTooLarge, match="interpolation evaluation table"):
         lattice_construction(ghz(2), w_state(), cert, "Triangular", 1)
 

@@ -26,6 +26,7 @@ def test_tracer_wraps_the_traced_layers_and_restores_them():
     with tracer:
         assert Matrix.__dict__["kron"] is not original_kron
         tpl.interpolate(tpl.ghz(2), tpl.w_state(), w_border_cert())
+        w_border_cert().maps[0].eval_eps(2)
         assert tpl.rank(tpl.flatten(tpl.w_state(), {0})) == 2
         Matrix.identity(2).kron(Matrix.identity(3))
     assert Matrix.__dict__["kron"] is original_kron
@@ -62,6 +63,7 @@ def test_every_probe_runs_and_records(tmp_path):
     with tracer:
         # Looked up at call time, so that the tracer's wrappers are called.
         tpl.interpolate(tpl.ghz(2), tpl.w_state(), w_border_cert())
+        w_border_cert().maps[0].eval_eps(2)
         tpl.matrix.rank(tpl.flatten(tpl.w_state(), {0}))
         tpl.hypergraph.build_structure(tpl.hypergraph.make_family("Fan", 2), tpl.w_state())
         tpl.obstructions.max_simple_koszul_rank(KoszulSpec(3, 1), trials=4, seed=1)

@@ -248,6 +248,19 @@ def test_catalog_put_crash_keeps_old_files(tmp_path, monkeypatch, fail_on):
     assert cat.get("w-rank3").tensor == w_state()
 
 
+def test_manifest_id_is_refused_and_the_catalog_survives(tmp_path):
+    # <id>.json for the id "manifest" is the manifest itself: a put would
+    # overwrite the id list and drop every other entry from the listing.
+    cat = Catalog(tmp_path)
+    cat.put(CatalogEntry(id="w-rank3", tensor=w_state(), decomposition=w_rank3_terms()))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(CatalogError, match="bad catalog id 'manifest'"):
+        cat.put(CatalogEntry(id="manifest", tensor=w_state(), decomposition=w_rank3_terms()))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert cat.ids() == ["w-rank3"]
+    assert [entry.id for entry in cat.load_all()] == ["w-rank3"]
+
+
 @pytest.mark.parametrize("bad_id", ["../escaped", "a/b", ".hidden", "", 7, None])
 def test_catalog_rejects_ids_outside_the_directory(tmp_path, bad_id):
     cat = Catalog(tmp_path / "cat")

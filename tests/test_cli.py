@@ -376,7 +376,7 @@ def test_op_tensor_product_grouped_is_kron(capsys, w_path, tmp_path):
     assert jsonio.tensor_from_json(json.loads(out.read_text())) == kron(w_state(), w_state())
 
 
-@pytest.mark.parametrize("bad_id", ["../escaped", 7, ""])
+@pytest.mark.parametrize("bad_id", ["../escaped", 7, "", "manifest"])
 def test_catalog_put_rejects_bad_id(capsys, tmp_path, bad_id):
     cat = tmp_path / "cat"
     packaged = Catalog.packaged().path / "w-border2-degeneration.json"

@@ -4,7 +4,10 @@ The integer-packed ``QC`` is checked against ``util.RefQC`` (a pair of
 Fractions), the integer-lane ``apply_product_map`` against
 ``util.apply_product_map_kfold`` (the full k-fold product per entry, in
 ``QC``/``EpsPoly`` arithmetic) and ``Matrix.eval_eps`` against a termwise
-sum. ``lowest_eps_image``, which reads the packed image without unpacking
+sum. The interpolation blocks, built from one integer evaluation table per
+map and integer Kronecker products, are checked against
+``util.interpolation_certificate_ref`` (each entry of each eps Kronecker
+product evaluated point by point). ``lowest_eps_image``, which reads the packed image without unpacking
 it, is checked against the full unpack of ``apply_product_map``. Kernel
 outputs, built without the constructor's checks, are checked against the
 public constructor.
@@ -12,6 +15,7 @@ public constructor.
 
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -21,6 +25,7 @@ from hypothesis import strategies as st
 import util
 from tpl.matrix import Matrix
 from tpl.named import ghz
+from tpl.preorder import _interpolation_certificate
 from tpl.scalars import EPS, FLOAT, RATIONAL, EpsPoly, QC
 from tpl.tensor import (
     GroupingSpec,
@@ -393,6 +398,34 @@ def test_eval_eps_at_zero():
     assert m.eval_eps(0) == Matrix(1, 2, {(0, 0): QC(2)})
     with pytest.raises(ZeroDivisionError):
         Matrix(1, 1, {(0, 0): EpsPoly.eps(-1)}, EPS).eval_eps(Fraction(0))
+
+
+@st.composite
+def interpolation_cases(draw):
+    """Orders 1-3, each factor the Kronecker product of 1-3 small Laurent maps
+    with Gaussian-rational coefficients (a map may repeat, as a lattice
+    vertex repeats its edge maps), and degrees d of either sign, e in 0..4."""
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        maps = []
+        for _ in range(draw(st.integers(1, 3))):
+            if maps and draw(st.booleans()):
+                maps.append(maps[-1])
+                continue
+            rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+            maps.append(Matrix(rows, cols, sparse_fill(draw, (rows, cols), laurent_values, st.booleans()), EPS))
+        factors.append(maps)
+    return factors, draw(st.integers(-3, 3)), draw(st.integers(0, 4))
+
+
+@PROPERTY
+@given(interpolation_cases())
+def test_interpolation_certificate_matches_pointwise_reference(case):
+    factors, d, e = case
+    maps = [reduce(Matrix.kron, ms) for ms in factors]
+    dims, target_dims = [m.cols for m in maps], [m.rows for m in maps]
+    expected = util.interpolation_certificate_ref(dims, target_dims, maps, d, e)
+    assert _interpolation_certificate(dims, target_dims, factors, d, e) == expected
 
 
 # -- kernel outputs skip the constructor's checks; they must still pass them --

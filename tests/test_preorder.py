@@ -5,6 +5,7 @@ import pytest
 
 import util
 from util import w_border_cert
+from tpl import scalars
 from tpl.matrix import Matrix
 from tpl.named import ghz, w_state
 from tpl.preorder import (
@@ -163,7 +164,7 @@ def test_interpolate_refuses_an_oversized_evaluation_table(monkeypatch):
     def no_eval(*args):
         raise AssertionError("the guard let a map be evaluated")
 
-    monkeypatch.setattr(Matrix, "eval_eps", no_eval)
+    monkeypatch.setattr(scalars, "_eval_table", no_eval)
     with pytest.raises(StructureTooLarge, match=r"evaluation table of shape \(800, 3216\)"):
         interpolate(ghz(2), w_state(), cert)
 

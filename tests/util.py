@@ -10,6 +10,13 @@ k-fold product of map columns, independent of the mode-wise contraction.
 packs each vertex index by hand, independent of the grouped tensor
 product; :func:`decomposition_ref` sums each term's outer product over
 every index, independent of the restriction from the unit tensor.
+:func:`interpolation_certificate_ref` evaluates every map entry at every
+point separately by Horner's rule in ``QC`` arithmetic
+(:func:`eps_eval_ref`) and scales the factor-0 blocks by the weights,
+independent of the integer evaluation table;
+:func:`lattice_construction_ref` builds each eps vertex map by
+``Matrix.kron`` (:func:`structure_degeneration`) and interpolates it that
+way, independent of the integer Kronecker product of evaluated edge maps.
 
 The rest are test-only builders and oracles: :func:`matrix_from_rows`,
 :func:`representative_222` (one tensor per 2x2x2 orbit),
@@ -29,9 +36,15 @@ from itertools import combinations, product
 import numpy as np
 
 from tpl import scalars
-from tpl.hypergraph import GroupingMap, Hypergraph, fold, make_family, resolve_assignment
+from tpl.hypergraph import GroupingMap, Hypergraph, fold, make_family, resolve_assignment, structure_dims
 from tpl.matrix import Matrix
-from tpl.preorder import DegenerationCertificate, OrbitClass222
+from tpl.preorder import (
+    DegenerationCertificate,
+    OrbitClass222,
+    RestrictionCertificate,
+    interpolation_weights,
+    verify_degeneration,
+)
 from tpl.scalars import EPS, QC, RATIONAL, EpsPoly
 from tpl.tensor import Tensor
 
@@ -195,6 +208,68 @@ def decomposition_ref(dims, terms):
                 v = v * vec[i]
             acc[idx] = acc.get(idx, QC(0)) + v
     return Tensor(dims, {i: v for i, v in acc.items() if v}, RATIONAL)
+
+
+def eps_eval_ref(p, point):
+    """p at an exact point: Horner's rule in QC arithmetic down to min(low, 0),
+    then one division by the point per Laurent degree."""
+    point = QC.coerce(point)
+    if not p.coeffs:
+        return QC(0)
+    low, high = min(p.coeffs), max(p.coeffs)
+    acc = p.coeffs[high]
+    for d in range(high - 1, min(low, 0) - 1, -1):
+        acc = acc * point
+        c = p.coeffs.get(d)
+        if c is not None:
+            acc = acc + c
+    for _ in range(-low):
+        acc = acc / point
+    return acc
+
+
+def interpolation_certificate_ref(dims, target_dims, eps_maps, d, e):
+    """The block maps of interpolate, point by point and entry by entry.
+
+    Block i of map j holds m_j evaluated at i + 1, and the factor-0 blocks
+    are multiplied by ``interpolation_weights(d, e)``.
+    """
+    weights = interpolation_weights(d, e)
+    maps = []
+    for j, m in enumerate(eps_maps):
+        entries = {}
+        for i, w in enumerate(weights):
+            for (r, c), p in m.entries.items():
+                v = eps_eval_ref(p, i + 1)
+                if j == 0:
+                    v = v * w
+                if v:
+                    entries[(r, c + i * dims[j])] = v
+        maps.append(Matrix(target_dims[j], dims[j] * (e + 1), entries, RATIONAL))
+    return RestrictionCertificate(tuple(maps))
+
+
+def structure_degeneration(h, cert):
+    """Per-vertex Kronecker products (``Matrix.kron``) of the edge maps, in slot order."""
+    maps = []
+    for slots in h.vertex_slots():
+        m = None
+        for pos, _edge in slots:
+            m = cert.maps[pos] if m is None else m.kron(cert.maps[pos])
+        maps.append(m)
+    return DegenerationCertificate(tuple(maps))
+
+
+def lattice_construction_ref(t, other, degcert, family, n):
+    """lattice_construction through the eps vertex maps of
+    :func:`structure_degeneration`, interpolated by
+    :func:`interpolation_certificate_ref`."""
+    ok, d, e = verify_degeneration(t, other, degcert)
+    assert ok
+    h = make_family(family, n)
+    k = h.n_edges
+    maps = structure_degeneration(h, degcert).maps
+    return interpolation_certificate_ref(structure_dims(h, t), structure_dims(h, other), maps, k * d, k * e)
 
 
 def w_border_cert():
