@@ -16,7 +16,7 @@ from .catalog import Catalog
 from .hypergraph import make_family, structure_dims
 from .matrix import rank
 from .named import ghz, mamu
-from .obstructions import KoszulSpec, flattening_ratio, gauge_points, koszul_flatten
+from .obstructions import KoszulSpec, flattening_ratio, gauge_points, koszul_flatten, _koszul_size_error
 from .preorder import CertificateError, _interpolation_certificate, verify_degeneration
 from .tensor import DENSE_ENTRY_GUARD, StructureTooLarge, equal_up_to_padding, kron, strip_padding
 
@@ -98,7 +98,7 @@ def _flattening_lower_bounds(t):
         d3 = t.dims[2]
         for p in range(1, d3):
             spec = KoszulSpec(d3, p)
-            if t.dims[0] * spec.out_rows > MATRIX_SIDE_GUARD:
+            if t.dims[0] * spec.out_rows > MATRIX_SIDE_GUARD or _koszul_size_error(t, spec):
                 continue
             ratio = flattening_ratio(t, spec)
             candidates.append(

@@ -3,12 +3,15 @@
 A :class:`Matrix` is an order-2 :class:`~tpl.tensor.Tensor` with
 ``dims == (rows, cols)``: it shares the tensor's storage, equality, dense
 form and eps lift, and its products run through the tensor kernels. Rank
-over the exact rational domain uses Gaussian elimination with exact field
-arithmetic; over the float domain it counts singular values above a
-relative threshold. Rank over the eps domain is rejected.
+over the exact rational domain uses fraction-free elimination on integer
+rows (a complex matrix through its real form); over the float domain it
+counts singular values above a relative threshold. Rank over the eps
+domain is rejected.
 """
 
 from __future__ import annotations
+
+import math
 
 from . import scalars
 from .scalars import EPS, FLOAT, RATIONAL, QC, _reduced
@@ -113,9 +116,10 @@ def flatten(t, left):
 def rank(m, tol=None):
     """Matrix rank.
 
-    Exact elimination for the rational domain; singular value counting above
-    ``tol * sigma_max`` (default 1e-9) for the float domain. The eps domain
-    is rejected: rank over a polynomial ring is out of scope.
+    Fraction-free integer elimination for the rational domain; singular
+    value counting above ``tol * sigma_max`` (default 1e-9) for the float
+    domain. The eps domain is rejected: rank over a polynomial ring is out
+    of scope.
     """
     if m.domain == RATIONAL:
         return _rank_exact(m)
@@ -140,34 +144,64 @@ def rank_float(array, tol=None):
 
 
 def _rank_exact(m):
-    # Row-list elimination over the exact field; rows kept sparse as
-    # col -> QC maps. Pivot rows are chosen shortest-first to limit fill-in.
+    # Fraction-free elimination over Z. A matrix A + iB with B != 0 enters as
+    # its real form [[A, -B], [B, A]], whose rank over Q is twice the rank of
+    # A + iB over Q(i). Each row is scaled by the lcm of its denominators and
+    # divided by the gcd of its numerators; a nonzero row scaling keeps the
+    # rank. A row r is eliminated as p*r - c*pivot and made primitive again,
+    # so it divides the Bareiss row of minors and stays within Hadamard size.
+    # Pivot rows are chosen shortest-first, then by lowest column, to limit
+    # fill-in.
     rows = {}
-    for (i, j), v in m.entries.items():
-        rows.setdefault(i, {})[j] = v
-    rows = list(rows.values())
+    if any(v._b for v in m.entries.values()):
+        cols = m.cols
+        for (i, j), v in m.entries.items():
+            top, bottom = rows.setdefault(i, {}), rows.setdefault(~i, {})
+            if v._a:
+                top[j] = bottom[cols + j] = (v._a, v._n)
+            if v._b:
+                top[cols + j], bottom[j] = (-v._b, v._n), (v._b, v._n)
+        factor = 2
+    else:
+        for (i, j), v in m.entries.items():
+            rows.setdefault(i, {})[j] = (v._a, v._n)
+        factor = 1
+    work = []
+    for row in rows.values():
+        den = math.lcm(*(n for _, n in row.values()))
+        work.append(_primitive({j: a * (den // n) for j, (a, n) in row.items()}))
     rank_count = 0
-    while rows:
-        pivot_row = min(rows, key=lambda r: (len(r), min(r)))
-        rows.remove(pivot_row)
+    while work:
+        shortest = min(map(len, work))
+        pivot_row = min((r for r in work if len(r) == shortest), key=min)
+        work.remove(pivot_row)
         pivot_col = min(pivot_row)
         pivot_val = pivot_row[pivot_col]
         rank_count += 1
         new_rows = []
-        for r in rows:
+        for r in work:
             coeff = r.get(pivot_col)
-            if coeff is not None:
-                factor = coeff / pivot_val
-                out = dict(r)
-                for c, v in pivot_row.items():
-                    s = out.get(c, scalars.QC_ZERO) - factor * v
-                    if s:
-                        out[c] = s
-                    else:
-                        out.pop(c, None)
-                if out:
-                    new_rows.append(out)
-            else:
+            if coeff is None:
                 new_rows.append(r)
-        rows = new_rows
-    return rank_count
+                continue
+            g = math.gcd(pivot_val, coeff)
+            p, c = pivot_val // g, coeff // g
+            out = {j: p * v for j, v in r.items()} if p != 1 else dict(r)
+            for j, v in pivot_row.items():
+                s = out.get(j, 0) - c * v
+                if s:
+                    out[j] = s
+                else:
+                    del out[j]
+            if out:
+                new_rows.append(_primitive(out))
+        work = new_rows
+    return rank_count // factor
+
+
+def _primitive(row):
+    """The integer row divided by the gcd of its entries (row nonempty)."""
+    g = math.gcd(*row.values())
+    if g == 1:
+        return row
+    return {j: v // g for j, v in row.items()}

@@ -15,7 +15,7 @@ from itertools import combinations
 from . import scalars
 from .matrix import Matrix, flatten, rank
 from .scalars import EPS, RATIONAL, QC
-from .tensor import _tensor
+from .tensor import DENSE_ENTRY_GUARD, StructureTooLarge, _tensor
 
 
 def gauge_points(t):
@@ -82,19 +82,35 @@ class KoszulSpec:
         return math.comb(self.d3, self.p)
 
 
-def _subset_index(n, p):
-    subs = list(combinations(range(n), p))
-    return subs, {s: i for i, s in enumerate(subs)}
+def _koszul_size_error(t, spec):
+    """Why the Koszul flattening of t at ``spec`` is over the size guard, or None.
+
+    The wedge bases list C(d3, p) + C(d3, p+1) subsets and the matrix gets
+    up to nnz * C(d3-1, p) entries; either count over ``DENSE_ENTRY_GUARD``
+    is refused before anything is listed.
+    """
+    where = f"Koszul flattening (d3={spec.d3}, p={spec.p})"
+    subsets = spec.out_cols + spec.out_rows
+    if subsets > DENSE_ENTRY_GUARD:
+        return f"{where} lists {subsets} wedge basis subsets, over {DENSE_ENTRY_GUARD}"
+    entries = t.nnz() * math.comb(spec.d3 - 1, spec.p)
+    if entries > DENSE_ENTRY_GUARD:
+        return f"{where} may hold {entries} entries, over {DENSE_ENTRY_GUARD}"
+    return None
 
 
-def _wedge_insert(subset, c):
-    """Index set and sign of e_subset ^ e_c, or None when c is repeated."""
-    if c in subset:
-        return None, 0
-    bigger = sum(1 for s in subset if s > c)
-    merged = tuple(sorted(subset + (c,)))
-    sign = -1 if bigger % 2 else 1
-    return merged, sign
+def _wedge_table(cols_subs, rows_of, c):
+    """(row index, column index, sign is +) of e_S ^ e_c for each p-subset S without c.
+
+    The sign is (-1)^(number of elements of S above c), from sorted insertion.
+    """
+    table = []
+    for j, s in enumerate(cols_subs):
+        if c in s:
+            continue
+        bigger = sum(1 for x in s if x > c)
+        table.append((rows_of[tuple(sorted(s + (c,)))], j, bigger % 2 == 0))
+    return table
 
 
 def koszul_flatten(t, spec):
@@ -102,30 +118,38 @@ def koszul_flatten(t, spec):
 
     Result shape: (d1 * C(d3, p+1)) x (d2 * C(d3, p)), wedge basis ordered
     lexicographically by index set, signs from sorted insertion. Entries stay
-    in the tensor's domain.
+    in the tensor's domain. The wedge table of each third index is built
+    once, for the indices that occur in t. A flattening over the size guard
+    (:func:`_koszul_size_error`) raises StructureTooLarge.
     """
     if t.order != 3:
         raise ValueError("koszul_flatten needs an order-3 tensor")
     d1, d2, d3 = t.dims
     if d3 != spec.d3:
         raise ValueError(f"third dimension {d3} does not match spec d3={spec.d3}")
-    rows_subs, rows_of = _subset_index(d3, spec.p + 1)
-    cols_subs, cols_of = _subset_index(d3, spec.p)
-    n_rows, n_cols = len(rows_subs), len(cols_subs)
+    error = _koszul_size_error(t, spec)
+    if error:
+        raise StructureTooLarge(error)
+    rows_of = {s: i for i, s in enumerate(combinations(range(d3), spec.p + 1))}
+    cols_subs = list(combinations(range(d3), spec.p))
+    n_rows, n_cols = len(rows_of), len(cols_subs)
+    tables = {}
     entries = {}
     for (a, b, c), v in t.entries.items():
-        for s in cols_subs:
-            merged, sign = _wedge_insert(s, c)
-            if merged is None:
-                continue
-            key = (a * n_rows + rows_of[merged], b * n_cols + cols_of[s])
-            w = v if sign > 0 else -v
+        table = tables.get(c)
+        if table is None:
+            table = tables[c] = _wedge_table(cols_subs, rows_of, c)
+        neg = -v
+        row0, col0 = a * n_rows, b * n_cols
+        for i, j, positive in table:
+            key = (row0 + i, col0 + j)
+            w = v if positive else neg
             acc = entries.get(key)
             acc = w if acc is None else acc + w
             if acc:
                 entries[key] = acc
             else:
-                entries.pop(key, None)
+                del entries[key]
     return _tensor((d1 * n_rows, d2 * n_cols), entries, t.domain, Matrix)
 
 

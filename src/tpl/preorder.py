@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import scalars
-from .matrix import Matrix, flatten, rank
-from .obstructions import hyperdeterminant_222
+from .matrix import Matrix
+from .obstructions import gauge_points, hyperdeterminant_222
 from .scalars import EPS, RATIONAL, QC, _qc, _reduced
 from .tensor import _tensor, apply_product_map, check_dense_size, direct_sum_many, lowest_eps_image
 
@@ -259,7 +259,7 @@ def classify_222(t):
         return OrbitClass222.ZERO
     if hyperdeterminant_222(t):
         return OrbitClass222.GHZ
-    ranks = [rank(flatten(t, {j})) for j in range(3)]
+    ranks = gauge_points(t)
     trivial = [j for j, r in enumerate(ranks) if r == 1]
     if len(trivial) == 3:
         return OrbitClass222.PRODUCT

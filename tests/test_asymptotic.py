@@ -2,6 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -20,7 +21,7 @@ from tpl.asymptotic import (
     strassen_rank_bounds,
     unit_size,
 )
-from tpl import preorder, scalars
+from tpl import asymptotic, preorder, scalars
 from tpl.catalog import Catalog
 from tpl.hypergraph import build_structure, make_family
 from tpl.matrix import Matrix, rank
@@ -196,8 +197,18 @@ def test_lattice_obstruction_guard():
             assert lattice_obstruction(t, other, covering, spec) is single
     # One copy of the flattening has side max(C(20, 10), C(20, 9)) = 184756.
     big = Tensor((1, 1, 20), {(0, 0, 0): QC(1)})
-    with pytest.raises(StructureTooLarge):
+    with pytest.raises(StructureTooLarge, match="flattening matrix side 184756 exceeds"):
         lattice_obstruction(big, big, 1, KoszulSpec(20, 9))
+
+
+def test_disjoint_lower_bounds_skip_the_koszul_specs_the_size_guard_refuses(monkeypatch):
+    # All-ones 4x4x20: the side guard admits p = 1..4 and 14..19, and
+    # 320 * C(19, p) entries exceed the entry guard at p = 4, 14 and 15.
+    ones = Tensor((4, 4, 20), {idx: QC(1) for idx in product(range(4), range(4), range(20))})
+    seen = []
+    monkeypatch.setattr(asymptotic, "flattening_ratio", lambda t, spec: seen.append(spec.p) or Fraction(1))
+    disjoint_rank_bounds(ones, Catalog.packaged())
+    assert seen == [1, 2, 3, 16, 17, 18, 19]
 
 
 def test_lattice_construction_single_triangle():

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -319,6 +320,15 @@ def test_obstruct_bad_p_usage_error(capsys, w_path):
     code, out, err = run(capsys, ["obstruct", "--tensor", w_path, "--p", "5"])
     assert (code, out) == (2, "")
     assert err.startswith("tpl: ")
+
+
+def test_obstruct_refuses_an_oversized_koszul_flattening_fast(capsys, tmp_path):
+    path = _tensor_file(tmp_path, "line.json", Tensor((1, 1, 30), {(0, 0, 0): QC(1)}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["obstruct", "--tensor", path, "--p", "15"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.startswith("tpl: Koszul flattening (d3=30, p=15) lists") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("operation", ["flatten", "rank"])

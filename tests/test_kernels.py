@@ -10,10 +10,15 @@ map and integer Kronecker products, are checked against
 product evaluated point by point). ``lowest_eps_image``, which reads the packed image without unpacking
 it, is checked against the full unpack of ``apply_product_map``. Kernel
 outputs, built without the constructor's checks, are checked against the
-public constructor.
+public constructor. Exact ``rank``, an integer elimination, is checked
+against ``util.rank_by_minors`` at sides up to 6 and against
+``util.rank_by_field_elimination`` (``QC`` pivot division) at sides 10 to
+40; ``koszul_flatten``, built from one wedge table per third index, against
+``util.koszul_flatten_ref`` (one wedge insertion per entry and subset).
 """
 
 import math
+import random
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -23,8 +28,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import util
-from tpl.matrix import Matrix
+from tpl.matrix import Matrix, rank
 from tpl.named import ghz
+from tpl.obstructions import KoszulSpec, koszul_flatten
 from tpl.preorder import _interpolation_certificate
 from tpl.scalars import EPS, FLOAT, RATIONAL, EpsPoly, QC
 from tpl.tensor import (
@@ -507,3 +513,86 @@ def test_lane_guard_rejects_a_huge_degree_span_fast():
     with pytest.raises(StructureTooLarge):
         apply_product_map(wide_border_cert(10**9), ghz(2).to_eps())
     assert time.perf_counter() - start < 0.1
+
+
+# -- exact rank and Koszul flattenings ------------------------------------------
+
+real_values = st.builds(QC, fractions)
+gaussian_values = st.builds(QC, fractions, fractions)
+
+
+@st.composite
+def rank_cases(draw):
+    """A matrix of side 1..6: sparse, a low-rank product, or with repeated and zero rows.
+
+    Entries are real or Gaussian rationals; ``fractions`` reaches numerators
+    near 10**30.
+    """
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    values = draw(st.sampled_from([real_values, gaussian_values]))
+    kind = draw(st.sampled_from(["sparse", "product", "repeated"]))
+    dense = st.integers(0, 3).map(bool)
+    if kind == "product":
+        k = draw(st.integers(1, min(rows, cols)))
+        a = Matrix(rows, k, sparse_fill(draw, (rows, k), values, dense))
+        b = Matrix(k, cols, sparse_fill(draw, (k, cols), values, dense))
+        return a @ b
+    entries = sparse_fill(draw, (rows, cols), values, dense)
+    if kind == "repeated":
+        for i in range(1, rows):
+            what = draw(st.sampled_from(["keep", "zero", "copy"]))
+            if what == "keep":
+                continue
+            source = draw(st.integers(0, i - 1))
+            row = {j: v for (r, j), v in entries.items() if r == source}
+            scale = draw(values) if what == "copy" else QC(0)
+            for j in range(cols):
+                entries.pop((i, j), None)
+            entries.update({(i, j): scale * v for j, v in row.items()})
+    return Matrix(rows, cols, entries)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rank_cases())
+def test_rank_matches_minors(m):
+    assert rank(m) == util.rank_by_minors(m)
+
+
+def _random_matrix(rng, rows, cols, density, imaginary, den=9):
+    def part():
+        return Fraction(rng.randint(-den, den), rng.randint(1, den))
+
+    return Matrix(rows, cols, {
+        (i, j): QC(part(), part() if imaginary else 0)
+        for i in range(rows) for j in range(cols) if rng.random() < density
+    })
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_rank_matches_field_elimination_at_sides_10_to_40(seed):
+    rng = random.Random(seed)
+    rows, cols = rng.randint(10, 40), rng.randint(10, 40)
+    imaginary, density = seed % 2 == 1, (0.1, 0.4, 1.0, 1.0)[seed // 2]
+    if seed >= 6:
+        k = rng.randint(1, min(rows, cols) - 1)
+        m = _random_matrix(rng, rows, k, density, imaginary) @ _random_matrix(rng, k, cols, density, imaginary)
+    else:
+        m = _random_matrix(rng, rows, cols, density, imaginary)
+    assert rank(m) == util.rank_by_field_elimination(m)
+
+
+@st.composite
+def koszul_cases(draw):
+    dims = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 5)))
+    values, domain = draw(st.sampled_from(
+        [(st.builds(QC, small), RATIONAL), (qc_values, RATIONAL), (eps_values, EPS)]
+    ))
+    return Tensor(dims, sparse_fill(draw, dims, values, st.booleans()), domain)
+
+
+@PROPERTY
+@given(koszul_cases())
+def test_koszul_flatten_matches_the_per_entry_reference(t):
+    for p in range(t.dims[2]):
+        spec = KoszulSpec(t.dims[2], p)
+        assert koszul_flatten(t, spec) == util.koszul_flatten_ref(t, spec)

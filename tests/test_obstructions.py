@@ -1,6 +1,8 @@
 import math
 import random
+import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -18,7 +20,7 @@ from tpl.obstructions import (
     quantum_functional_point,
 )
 from tpl.scalars import QC
-from tpl.tensor import Tensor, apply_product_map, kron, permute_factors
+from tpl.tensor import StructureTooLarge, Tensor, apply_product_map, kron, permute_factors
 
 
 def test_gauge_points_basics():
@@ -161,6 +163,20 @@ def test_flattening_ratio_values():
         if flattening_ratio(t, spec, trials=4, seed=i) == Fraction(9, 2):
             hits += 1
     assert hits >= 19
+
+
+def test_koszul_flatten_refuses_an_oversized_flattening_before_building():
+    start = time.perf_counter()
+    # C(30, 15) + C(30, 16) = 300540195 wedge basis subsets.
+    line = Tensor((1, 1, 30), {(0, 0, 0): QC(1)})
+    with pytest.raises(StructureTooLarge, match="lists 300540195 wedge basis subsets"):
+        flattening_ratio(line, KoszulSpec(30, 15))
+    # 320 entries times C(19, 4) = 3876 insertions each.
+    ones = Tensor((4, 4, 20), {idx: QC(1) for idx in product(range(4), range(4), range(20))})
+    with pytest.raises(StructureTooLarge, match="may hold 1240320 entries"):
+        koszul_flatten(ones, KoszulSpec(20, 4))
+    assert time.perf_counter() - start < 1
+    assert koszul_flatten(ones, KoszulSpec(20, 3)).dims == (4 * 4845, 4 * 1140)
 
 
 def test_max_simple_rank_uses_closed_value():

@@ -1,8 +1,12 @@
 """Shared test helpers and independent oracles.
 
 The rank oracle enumerates minors, independent of the elimination code it
-checks. The flatten oracle goes through dense numpy reshapes, independent
-of the sparse index packing. :class:`RefQC` keeps a Gaussian rational as a
+checks; :func:`rank_by_field_elimination` divides by pivots in ``QC``
+field arithmetic, independent of the fraction-free integer loop, at sides
+where minors are out of reach. :func:`koszul_flatten_ref` inserts every
+column subset's wedge product entry by entry, independent of the
+per-index wedge table. The flatten oracle goes through dense numpy
+reshapes, independent of the sparse index packing. :class:`RefQC` keeps a Gaussian rational as a
 pair of Fractions, independent of the integer-packed ``QC``, and
 :func:`apply_product_map_kfold` expands every input entry through the full
 k-fold product of map columns, independent of the mode-wise contraction.
@@ -76,6 +80,66 @@ def _det(a):
         term = v * _det(sub)
         acc = acc + term if i % 2 == 0 else acc - term
     return acc
+
+
+def rank_by_field_elimination(m):
+    """Rank by Gaussian elimination in QC field arithmetic (sparse rows).
+
+    The rank reference at sides where minors are out of reach: rows are
+    col -> QC maps and each step divides by the pivot, with no integer
+    scaling.
+    """
+    rows = {}
+    for (i, j), v in m.entries.items():
+        rows.setdefault(i, {})[j] = v
+    rows = list(rows.values())
+    count = 0
+    while rows:
+        pivot_row = min(rows, key=lambda r: (len(r), min(r)))
+        rows.remove(pivot_row)
+        pivot_col = min(pivot_row)
+        pivot_val = pivot_row[pivot_col]
+        count += 1
+        new_rows = []
+        for r in rows:
+            coeff = r.get(pivot_col)
+            if coeff is None:
+                new_rows.append(r)
+                continue
+            factor = coeff / pivot_val
+            out = dict(r)
+            for c, v in pivot_row.items():
+                s = out.get(c, QC(0)) - factor * v
+                if s:
+                    out[c] = s
+                else:
+                    out.pop(c, None)
+            if out:
+                new_rows.append(out)
+        rows = new_rows
+    return count
+
+
+def koszul_flatten_ref(t, spec):
+    """Koszul flattening built entry by entry, one wedge insertion per column subset.
+
+    For every entry and every p-subset S, e_S ^ e_c is inserted by sorting,
+    with sign (-1)^(#elements of S above c).
+    """
+    d1, d2, d3 = t.dims
+    rows_of = {s: i for i, s in enumerate(combinations(range(d3), spec.p + 1))}
+    cols_subs = list(combinations(range(d3), spec.p))
+    n_rows, n_cols = len(rows_of), len(cols_subs)
+    entries = {}
+    for (a, b, c), v in t.entries.items():
+        for j, s in enumerate(cols_subs):
+            if c in s:
+                continue
+            merged = tuple(sorted(s + (c,)))
+            w = -v if sum(1 for x in s if x > c) % 2 else v
+            key = (a * n_rows + rows_of[merged], b * n_cols + j)
+            entries[key] = entries[key] + w if key in entries else w
+    return Matrix(d1 * n_rows, d2 * n_cols, entries, t.domain)
 
 
 def flatten_dense(t, left):
