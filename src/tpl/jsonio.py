@@ -220,7 +220,12 @@ def load_path(path):
 
 
 def dump_path(path, obj):
-    """Write obj as pretty JSON via a synced temp file that replaces ``path`` atomically."""
+    """Write obj as pretty JSON via a synced temp file that replaces ``path`` atomically.
+
+    The directory is synced after the rename, so the rename itself survives
+    a power loss once this returns, and writes made one after another reach
+    the disk in that order.
+    """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(16).hex()}.tmp")
     try:
@@ -232,3 +237,8 @@ def dump_path(path, obj):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

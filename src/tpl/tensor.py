@@ -17,7 +17,10 @@ convention is fixed so that files round-trip bit-exactly.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
+from itertools import product
 
 from . import scalars
 from .scalars import EPS, FLOAT, RATIONAL, EpsPoly, _common_denominator, _eps, _qc
@@ -29,6 +32,12 @@ from .scalars import EPS, FLOAT, RATIONAL, EpsPoly, _common_denominator, _eps, _
 # hundreds of thousands would need ints of megabytes and take seconds per
 # entry to unpack; above the guard the lane raises instead.
 LANE_BITS_GUARD = 2**20
+
+# Largest packed value, in bits, into which the integer lane folds trailing
+# modes of the image (see _Lane). Packing a whole image beat the mode-wise
+# loop up to about 10,000 bits; folding only the trailing modes that fit
+# 2^12 bits beat both 2^13 and 2^14 on dense, sparse and eps contractions.
+PACKED_IMAGE_BITS = 2**12
 
 # Largest dense array, in entries, that ``to_numpy`` builds; lattice
 # constructions apply the same bound to the dense size of a structure.
@@ -203,6 +212,8 @@ def direct_sum(t, u):
 
 def direct_sum_many(tensors):
     """Block embedding of the tensors in order, each after the last on every factor."""
+    if not tensors:
+        raise ValueError("direct_sum_many needs at least one tensor")
     first = tensors[0]
     offsets = (0,) * first.order
     entries = {}
@@ -254,6 +265,8 @@ def kron(t, u):
 
 
 def kron_power(t, n):
+    """The Kronecker product of n copies of t; n is an int >= 1."""
+    scalars.check_ints((n,), "kron_power n")
     if n < 1:
         raise ValueError("kron_power needs n >= 1")
     acc = t
@@ -293,28 +306,29 @@ def apply_product_map(maps, t):
     """Apply one linear map per factor: (m_1 (x) ... (x) m_k) t.
 
     ``maps[j]`` must have ``cols == t.dims[j]``; the result has dims given
-    by the row counts; tensor and maps share one domain. The maps are
-    applied one mode at a time, in factor order 0, 1, ..., k-1 (the mode-n
-    product): mode j sends each entry ``idx -> v`` to ``c * v`` at ``idx``
-    with position j replaced by r, for each ``(r, c)`` in column ``idx[j]``
-    of ``maps[j]``, and drops entries that cancel.
+    by the row counts; tensor and maps share one domain. Mode j sends each
+    entry ``idx -> v`` to ``c * v`` at ``idx`` with position j replaced by
+    r, for each ``(r, c)`` in column ``idx[j]`` of ``maps[j]``; entries
+    that cancel are dropped.
 
-    Exact operands are packed into Python ints first (see :class:`_Lane`),
-    so the loop adds and multiplies plain ints, and each output coefficient
-    is reduced by one gcd when it is unpacked. Float operands enter the
-    loop as they are.
+    Exact operands are packed into Python ints first (see :class:`_Lane`).
+    The trailing modes whose image fits ``PACKED_IMAGE_BITS`` are folded
+    into the packed values by big-int products, the leading modes run
+    through the mode-wise loop :func:`_contract` (the mode-n product), and
+    each output coefficient is reduced by one gcd when it is unpacked.
+    Float operands run through :func:`_contract` as they are, every mode in
+    factor order.
     """
     domain = t.domain
     dims = _check_maps(maps, t, domain)
     if domain == FLOAT:
-        return _tensor(dims, _contract(t.entries, [m.columns() for m in maps], t.dims, dims), FLOAT)
+        _check_contraction(len(t.entries), maps, t.dims, dims)
+        return _tensor(dims, _contract(t.entries, [m.columns() for m in maps]), FLOAT)
     lane = _Lane(t, maps)
-    out = {}
-    for idx, x in _contract(lane.tensor, lane.columns, t.dims, dims).items():
-        coeffs = lane.unpack(x)
-        if coeffs:
-            out[idx] = _eps(coeffs) if domain == EPS else coeffs[0]
-    return _tensor(dims, out, domain)
+    image = lane.unpack(_contract(lane.tensor, lane.columns))
+    if domain == EPS:
+        return _tensor(dims, {idx: _eps(coeffs) for idx, coeffs in image.items()}, EPS)
+    return _tensor(dims, {idx: coeffs[0] for idx, coeffs in image.items()}, domain)
 
 
 def lowest_eps_image(maps, t):
@@ -332,7 +346,7 @@ def lowest_eps_image(maps, t):
         raise ValueError(f"the tensor must be rational, not {t.domain}")
     dims = _check_maps(maps, t, EPS)
     lane = _Lane(t, maps)
-    found = lane.lowest(_contract(lane.tensor, lane.columns, t.dims, dims))
+    found = lane.lowest(_contract(lane.tensor, lane.columns))
     if found is None:
         return None
     low, d, e = found
@@ -353,25 +367,42 @@ def _check_maps(maps, t, domain):
     return tuple(m.rows for m in maps)
 
 
-def _contract(entries, columns, dims, rows):
-    """The mode-wise loop over plain numbers: ints, or complex floats.
+def _check_contraction(nnz, maps, dims, rows):
+    """Raise StructureTooLarge when a mode of the contraction may hold too many entries.
 
-    ``entries`` has dims ``dims``, and ``columns[j]`` maps a column of map
-    j, which has ``rows[j]`` rows, to its ``(row, value)`` list. Before the
-    loop, each mode's intermediate is bounded: start from the entry count,
-    and at mode j take the smaller of the last bound times the longest
-    column of map j and the product of the dims after mode j. A bound over
-    ``DENSE_ENTRY_GUARD`` raises StructureTooLarge.
+    The tensor has ``nnz`` entries and dims ``dims``, and map j has
+    ``rows[j]`` rows. Each mode's intermediate, in factor order, is
+    bounded: start from the entry count, and at mode j take the smaller of
+    the last bound times the longest column of map j and the product of
+    the dims after mode j. A bound over ``DENSE_ENTRY_GUARD`` raises. Every
+    intermediate fits the shape of the larger of each dim and row count,
+    so the columns are counted only when that shape passes the guard. The
+    integer lane checks all k modes before it packs any of them.
     """
-    bound, shape = len(entries), list(dims)
-    for j, cols in enumerate(columns):
+    if math.prod(map(max, dims, rows)) <= DENSE_ENTRY_GUARD:
+        return
+    bound, shape = nnz, list(dims)
+    for j, m in enumerate(maps):
         shape[j] = rows[j]
-        bound = min(bound * max(map(len, cols.values()), default=0), math.prod(shape))
+        longest = max(Counter(c for _, c in m.entries).values(), default=0)
+        bound = min(bound * longest, math.prod(shape))
         if bound > DENSE_ENTRY_GUARD:
             raise StructureTooLarge(
                 f"mode {j} of the contraction to {_shape(shape)} may hold {bound} "
                 f"entries, over {DENSE_ENTRY_GUARD}"
             )
+
+
+def _contract(entries, columns):
+    """The mode-wise loop over plain numbers: ints, or complex floats.
+
+    ``columns[j]`` maps a column of map j to its list of ``(row, value)``
+    pairs. Mode j, for each map given, replaces index position j of every
+    entry by the rows of its column and sums the terms; entries that cancel
+    are dropped after each mode. Index positions past the last map are kept
+    as they are. The caller bounds the intermediates first
+    (:func:`_check_contraction`).
+    """
     for j, cols in enumerate(columns):
         acc = {}
         for idx, v in entries.items():
@@ -441,113 +472,228 @@ class _Operand:
 class _Lane:
     """A tensor and its maps packed into Python ints (Kronecker substitution).
 
-    Each operand is put over one denominator, and its coefficient of
-    eps^k X^s, where X stands for i and lo is the operand's lowest degree,
-    becomes a base-2^K digit at slot (k - lo) + s * E. E is the number of
-    eps degrees the contraction can produce, so eps products never reach
-    the X slots; each operand adds at most one to the X-degree. Before
+    Scalars. Each operand is put over one denominator, and its coefficient
+    of eps^k X^s, where X stands for i and lo is the operand's lowest
+    degree, becomes a base-2^K digit at slot (k - lo) + s * E. E is the
+    number of eps degrees the contraction can produce, so eps products
+    never reach the X slots; each operand adds at most one to the X-degree.
+    A packed scalar spans ``block`` = K * E * (X-degree + 1) bits. Before
     X^2 = -1 is applied, every output coefficient is at most the largest
     L1 norm of a tensor value times, for each map, its largest row sum of
-    L1 norms (taken as at least 1, which bounds every mode's intermediate
-    too). K = bound.bit_length() + 1 keeps each coefficient inside a
-    balanced digit [-2^(K-1), 2^(K-1)), so a packed value is zero exactly
-    when the polynomial is, and the digits read back uniquely. A rational
-    operand packs as degree 0, so a rational tensor meets eps maps as it is.
+    L1 norms (taken as at least 1, which bounds every partial sum too).
+    K = bound.bit_length() + 1 keeps each coefficient inside a balanced
+    digit [-2^(K-1), 2^(K-1)), so a packed value is zero exactly when the
+    polynomial is, and the digits read back uniquely. A rational operand
+    packs as degree 0, so a rational tensor meets eps maps as it is.
+
+    Image slots. The trailing modes lead..k-1 of the image are packed too,
+    as many as fit: block * R_lead * ... * R_(k-1) <= PACKED_IMAGE_BITS,
+    with R_j the row count of map j. With s_j the product of the R of the
+    packed modes after j, column c of map j becomes the one int
+    P_j[c] = sum_r x_(r,c) * 2^(block * s_j * r), and the image index
+    (r_lead, ..., r_(k-1)) owns scalar block sum_j r_j * s_j, its row-major
+    number. The numbering is mixed-radix, so a product of packed columns is
+    their outer product and no two terms share a block. Each tensor entry
+    goes to its leading index idx[:lead] as v * prod_j P_j[idx_j], summed
+    per key (:func:`_fold_tail`); every digit of these sums is a partial
+    sum of an output coefficient, within the same bound. ``tensor`` holds
+    them and ``columns`` the leading maps' columns, for :func:`_contract`;
+    ``tails[b]`` is the trailing image index of block b. With lead = 0
+    there is one key, the empty index; with lead = k each value is one
+    packed scalar.
     """
 
     def __init__(self, t, maps):
+        rows = [m.rows for m in maps]
+        _check_contraction(len(t.entries), maps, t.dims, rows)
         ops = [_Operand(x.entries, x.domain == EPS) for x in (t, *maps)]
         bound = max(ops[0].norms, default=0)
         for m, op in zip(maps, ops[1:]):
-            rows = {}
+            sums = {}
             for (r, _), norm in zip(m.entries, op.norms):
-                rows[r] = rows.get(r, 0) + norm
-            bound *= max(1, max(rows.values(), default=0))
+                sums[r] = sums.get(r, 0) + norm
+            bound *= max(1, max(sums.values(), default=0))
         self.width = width = bound.bit_length() + 1
         self.eps_slots = 1 + sum(op.hi - op.lo for op in ops)
         self.x_degree = sum(op.imag for op in ops)
         self.den = math.prod(op.den for op in ops)
         self.lo = sum(op.lo for op in ops)
-        # Half a digit added at every slot makes each digit nonnegative, so
-        # a balanced digit is its masked slot minus half.
-        slots = self.eps_slots * (self.x_degree + 1)
-        if width * slots > LANE_BITS_GUARD:
+        self.block = block = width * self.eps_slots * (self.x_degree + 1)
+        if block > LANE_BITS_GUARD:
             raise StructureTooLarge(
-                f"packed values of {width * slots} bits exceed {LANE_BITS_GUARD} "
+                f"packed values of {block} bits exceed {LANE_BITS_GUARD} "
                 f"(eps degree span {self.eps_slots - 1}, digit width {width})"
             )
-        self.offset = (1 << (width - 1)) * ((1 << (width * slots)) - 1) // ((1 << width) - 1)
-        self.nbytes = (width * slots + 7) // 8
-        x_shift = width * self.eps_slots
-        self.tensor = ops[0].pack(width, x_shift)
-        self.columns = []
-        for op in ops[1:]:
+        lead, blocks = len(maps), 1
+        while lead and block * blocks * rows[lead - 1] <= PACKED_IMAGE_BITS:
+            lead -= 1
+            blocks *= rows[lead]
+        self.tails = _block_indices(tuple(rows[lead:]))
+        x_shift, stride = width * self.eps_slots, block * blocks
+        columns = []
+        for j, op in enumerate(ops[1:]):
             cols = {}
-            for (r, c), x in sorted(op.pack(width, x_shift).items()):
-                cols.setdefault(c, []).append((r, x))
-            self.columns.append(cols)
+            if j < lead:
+                for (r, c), x in sorted(op.pack(width, x_shift).items()):
+                    cols.setdefault(c, []).append((r, x))
+            else:
+                stride //= rows[j]
+                for (r, c), x in op.pack(width, x_shift).items():
+                    cols[c] = cols.get(c, 0) + (x << (stride * r))
+            columns.append(cols)
+        self.tensor = _fold_tail(ops[0].pack(width, x_shift), columns[lead:], lead)
+        self.columns = columns[:lead]
+        # Half a digit added at every slot makes each digit nonnegative, so
+        # a balanced digit is its masked slot minus half.
+        bits = block * blocks
+        self.offset = (1 << (width - 1)) * ((1 << bits) - 1) // ((1 << width) - 1)
 
-    def unpack(self, x):
-        """Degree -> QC map of a packed output value; empty when it folds to zero.
+    def unpack(self, values):
+        """Image index -> (degree -> QC map) of packed values keyed by leading index.
 
-        Reads the balanced digits, folds X^s to i^s and divides by the
-        product of the denominators with one gcd per coefficient.
+        Each nonzero block of a value is read once (:meth:`blocks`): the
+        balanced digits, X^s folded to i^s, and each coefficient divided by
+        the product of the denominators with one gcd. Blocks that fold to
+        zero are left out.
         """
-        width, eps_slots, den = self.width, self.eps_slots, self.den
+        width, eps_slots, den, lo = self.width, self.eps_slots, self.den, self.lo
         half = 1 << (width - 1)
         mask = (1 << width) - 1
-        # One byte string, so that reading every slot costs linear time.
-        data = (x + self.offset).to_bytes(self.nbytes, "little")
-        re = [0] * eps_slots
-        im = [0] * eps_slots
-        start = 0
-        for s in range(self.x_degree + 1):
-            part = re if s % 2 == 0 else im
-            sign = -1 if s % 4 >= 2 else 1
-            for q in range(eps_slots):
-                digit = int.from_bytes(data[start >> 3 : (start + width + 7) >> 3], "little")
-                part[q] += sign * (((digit >> (start & 7)) & mask) - half)
-                start += width
-        coeffs = {}
-        for q in range(eps_slots):
-            a, b = re[q], im[q]
-            if a or b:
-                g = math.gcd(a, b, den)
-                coeffs[q + self.lo] = _qc(a // g, b // g, den // g)
-        return coeffs
+        nbytes = (self.block + 7) // 8
+        out = {}
+        for key, x in values.items():
+            if self.block == width:  # one real digit per block
+                for tail, y in self.blocks(x):
+                    a = y - half
+                    if a:
+                        g = math.gcd(a, den)
+                        out[key + tail] = {lo: _qc(a // g, 0, den // g)}
+                continue
+            for tail, y in self.blocks(x):
+                # One byte string, so that reading every slot costs linear time.
+                data = y.to_bytes(nbytes, "little")
+                re = [0] * eps_slots
+                im = [0] * eps_slots
+                start = 0
+                for s in range(self.x_degree + 1):
+                    part = re if s % 2 == 0 else im
+                    sign = -1 if s % 4 >= 2 else 1
+                    for q in range(eps_slots):
+                        digit = int.from_bytes(data[start >> 3 : (start + width + 7) >> 3], "little")
+                        part[q] += sign * (((digit >> (start & 7)) & mask) - half)
+                        start += width
+                coeffs = {}
+                for q in range(eps_slots):
+                    a, b = re[q], im[q]
+                    if a or b:
+                        g = math.gcd(a, b, den)
+                        coeffs[q + lo] = _qc(a // g, b // g, den // g)
+                if coeffs:
+                    out[key + tail] = coeffs
+        return out
+
+    def blocks(self, x):
+        """``(tail, y)`` for each block of packed value x with a nonzero digit, lowest first.
+
+        ``tail`` is the block's trailing image index and y its bits of
+        x + offset, where every digit lies in [0, 2^K) and a balanced digit
+        is its slot minus half. (x + offset) ^ offset is nonzero in exactly
+        the slots whose balanced digit is nonzero, so each step jumps to its
+        lowest set bit: a sparse image costs its nonzero blocks, not its
+        size. A value of several blocks holds at most PACKED_IMAGE_BITS
+        bits, so each shift is short.
+        """
+        block, offset = self.block, self.offset
+        mask = (1 << block) - 1
+        y = x + offset
+        z = y ^ offset
+        b = 0
+        while z:
+            skip = ((z & -z).bit_length() - 1) // block
+            b += skip
+            y >>= skip * block
+            yield self.tails[b], y & mask
+            z >>= (skip + 1) * block
+            y >>= block
+            b += 1
 
     def lowest(self, values):
         """``(low, d, e)`` of nonzero packed values; None when they all fold to zero.
 
-        d is the lowest eps degree over all values, d + e the highest, and
-        ``low`` maps each key to its nonzero degree-d coefficient as a QC.
-        Without X slots, y = x + offset has every digit in [0, 2^K), so
-        y ^ offset is nonzero in exactly the slots whose balanced digit is
-        nonzero; the OR of these over all values gives the lowest and
-        highest slot, and only the digit at the lowest is read. With X
-        slots each value is unpacked, since X^2 = -1 must be folded first.
+        d is the lowest eps degree over the image, d + e the highest, and
+        ``low`` maps each image index to its nonzero degree-d coefficient
+        as a QC. Without X slots, a slot's digit is nonzero exactly where
+        (x + offset) ^ offset is (:meth:`blocks`). The OR of these over all
+        values, folded over the blocks by halving their count, gives the
+        lowest and highest slot; then only the digit at the lowest slot of
+        each block is read, jumping from one nonzero digit to the next.
+        With X slots each value is unpacked, since X^2 = -1 must be folded
+        first.
         """
         if self.x_degree:
-            polys = {key: coeffs for key, x in values.items() if (coeffs := self.unpack(x))}
+            polys = self.unpack(values)
             if not polys:
                 return None
             degrees = {k for coeffs in polys.values() for k in coeffs}
             d = min(degrees)
-            low = {key: coeffs[d] for key, coeffs in polys.items() if d in coeffs}
+            low = {idx: coeffs[d] for idx, coeffs in polys.items() if d in coeffs}
             return low, d, max(degrees) - d
-        width, offset = self.width, self.offset
+        width, block, offset = self.width, self.block, self.offset
         shifted = {key: x + offset for key, x in values.items()}
         used = 0
         for y in shifted.values():
             used |= y ^ offset
+        # Fold the blocks onto one, halving their count at each step.
+        count = len(self.tails)
+        while count > 1:
+            count = (count + 1) // 2
+            used = (used & ((1 << (count * block)) - 1)) | (used >> (count * block))
         if not used:
             return None
         low_slot = ((used & -used).bit_length() - 1) // width
         shift, mask, half, den = width * low_slot, (1 << width) - 1, 1 << (width - 1), self.den
+        # The lowest slot of every block; the loop below jumps from one
+        # nonzero digit there to the next.
+        digits = mask * (((1 << (block * len(self.tails))) - 1) // ((1 << block) - 1))
         low = {}
         for key, y in shifted.items():
-            a = ((y >> shift) & mask) - half
-            if a:
+            z = ((y ^ offset) >> shift) & digits
+            y >>= shift
+            b = 0
+            while z:
+                skip = ((z & -z).bit_length() - 1) // block
+                z >>= (skip + 1) * block
+                y >>= skip * block
+                b += skip
+                a = (y & mask) - half
                 g = math.gcd(a, den)
-                low[key] = _qc(a // g, 0, den // g)
+                low[key + self.tails[b]] = _qc(a // g, 0, den // g)
+                y >>= block
+                b += 1
         return low, low_slot + self.lo, (used.bit_length() - 1) // width - low_slot
+
+
+@functools.lru_cache(maxsize=64)
+def _block_indices(radices):
+    """Trailing image index of each block: the indices below ``radices``, row-major."""
+    return tuple(product(*map(range, radices)))
+
+
+def _fold_tail(tensor, columns, lead):
+    """Packed tensor entries folded over their index positions from ``lead`` on.
+
+    ``columns[j]`` maps a column of map lead + j to its packed int (see
+    :class:`_Lane`). The modes are folded one at a time from the last, the
+    smallest stride, so the products grow one mode at a time, each pass
+    keys on an index prefix, and each has at most as many keys as the one
+    before. Sums that cancel are dropped once, at the end.
+    """
+    for j in reversed(range(lead, lead + len(columns))):
+        packed, acc = columns[j - lead], {}
+        for idx, v in tensor.items():
+            p = packed.get(idx[j])
+            if p is not None:
+                key = idx[:j]
+                acc[key] = acc.get(key, 0) + v * p
+        tensor = acc
+    return {key: x for key, x in tensor.items() if x}

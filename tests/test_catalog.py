@@ -1,6 +1,7 @@
 import copy
 import os
 import random
+import stat
 from collections import Counter
 from fractions import Fraction
 
@@ -246,6 +247,32 @@ def test_catalog_put_crash_keeps_old_files(tmp_path, monkeypatch, fail_on):
     assert set(after) - set(before) == {"w-copy.json"} - {fail_on}
     assert cat.ids() == ["w-rank3"]
     assert cat.get("w-rank3").tensor == w_state()
+
+
+def test_catalog_put_syncs_the_directory_after_each_replace(tmp_path, monkeypatch):
+    # A rename is durable only once its directory is synced, so the order
+    # "entry first, then manifest" holds on disk only with a sync after each.
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        is_dir = stat.S_ISDIR(st.st_mode)
+        events.append(("sync dir", st.st_ino) if is_dir else ("sync file",))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", os.path.basename(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    Catalog(tmp_path).put(CatalogEntry(id="w-rank3", tensor=w_state(), decomposition=w_rank3_terms()))
+    directory = ("sync dir", tmp_path.stat().st_ino)
+    assert events == [
+        ("sync file",), ("replace", "w-rank3.json"), directory,
+        ("sync file",), ("replace", "manifest.json"), directory,
+    ]
 
 
 def test_manifest_id_is_refused_and_the_catalog_survives(tmp_path):

@@ -24,7 +24,7 @@ from functools import reduce
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import util
@@ -34,6 +34,7 @@ from tpl.obstructions import KoszulSpec, koszul_flatten
 from tpl.preorder import _interpolation_certificate
 from tpl.scalars import EPS, FLOAT, RATIONAL, EpsPoly, QC
 from tpl.tensor import (
+    PACKED_IMAGE_BITS,
     GroupingSpec,
     StructureTooLarge,
     Tensor,
@@ -44,6 +45,7 @@ from tpl.tensor import (
     permute_factors,
     strip_padding,
     tensor_product,
+    _Lane,
 )
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -345,6 +347,118 @@ def test_packed_lowest_read_folds_imaginary_parts_first():
     m = Matrix(1, 2, {(0, 0): EpsPoly({-2: QC(0, 1), 3: QC(1)}), (0, 1): EpsPoly({-2: QC(1)})}, EPS)
     assert lowest_eps_image([m], t) == (Tensor((1,), {(0,): QC(0, 1)}), 3, 0)
     assert lowest_eps_image([m], t) == lowest_by_unpacking([m], t)
+
+
+# -- image slots: trailing modes folded into the packed values ----------------
+
+
+def folded_modes(maps, t):
+    """How many trailing modes of the image the lane packs into its values."""
+    return t.order - len(_Lane(t, maps).columns)
+
+
+wide_parts = st.one_of(small, st.builds(Fraction, st.integers(-(10**12), 10**12), st.sampled_from([1, 3, 7])))
+
+
+@st.composite
+def image_slot_cases(draw):
+    """Rational tensors under rational or eps maps whose packed images run
+    from one slot to several times PACKED_IMAGE_BITS: the lane folds no
+    trailing mode, some of them or all. Values are real or Gaussian, eps
+    maps hold Laurent degrees, and rows and dims of 1 occur."""
+    part = draw(st.sampled_from([small, wide_parts]))
+    imag = draw(st.sampled_from([st.just(0), part]))
+    scalar = st.builds(QC, part, imag)
+    domain = draw(st.sampled_from([RATIONAL, EPS]))
+    poly = st.builds(EpsPoly, st.dictionaries(st.integers(-2, 3), scalar, min_size=1, max_size=3))
+    order = draw(st.integers(1, 4))
+    dims = draw(st.lists(st.integers(1, 3), min_size=order, max_size=order))
+    rows = draw(st.lists(st.sampled_from([1, 2, 3, 5, 8, 13]), min_size=order, max_size=order))
+    t = Tensor(dims, sparse_fill(draw, dims, scalar, st.integers(0, 2).map(bool)))
+    values = poly if domain == EPS else scalar
+    maps = [Matrix(r, d, sparse_fill(draw, (r, d), values, st.integers(0, 2).map(lambda x: x == 0)), domain)
+            for r, d in zip(rows, dims)]
+    return maps, t
+
+
+@PROPERTY
+@given(image_slot_cases())
+def test_image_slots_match_kfold_and_the_full_unpack(case):
+    maps, t = case
+    folded = folded_modes(maps, t)
+    event(f"folded {'all' if folded == t.order else folded} of {t.order} modes")
+    if maps[0].domain == EPS:
+        assert apply_product_map(maps, t.to_eps()) == util.apply_product_map_kfold(maps, t.to_eps())
+        assert lowest_eps_image(maps, t) == lowest_by_unpacking(maps, t)
+    else:
+        assert apply_product_map(maps, t) == util.apply_product_map_kfold(maps, t)
+
+
+def signed_rows(rows, cols, domain=RATIONAL):
+    """rows x cols map with one +-1 per row, in column r % cols, signs alternating.
+
+    Every row has L1 norm 1, so an image coefficient can reach the lane's
+    bound. Over EPS, row r holds +-eps^(r % 3 - 1)."""
+    entries = {}
+    for r in range(rows):
+        s = QC(1 if r % 2 == 0 else -1)
+        entries[(r, r % cols)] = s if domain == RATIONAL else EpsPoly({r % 3 - 1: s})
+    return Matrix(rows, cols, entries, domain)
+
+
+def test_image_slots_exactly_at_the_budget():
+    # One entry 2^14 under 16-row maps whose rows hold one +-1: the bound is
+    # 2^14, each digit 16 bits, and a 16 x 16 image 16 * 256 bits, which is
+    # exactly the budget, so both modes fold. One more bit in the entry
+    # widens the digit to 17 bits and only the last mode folds.
+    assert 16 * 16 * 16 == PACKED_IMAGE_BITS
+    maps = [signed_rows(16, 2)] * 2
+    for value, width, folded in ((2**14, 16, 2), (2**15, 17, 1)):
+        t = Tensor((2, 2), {(0, 0): QC(value), (1, 1): QC(-value + 1), (0, 1): QC(1)})
+        assert _Lane(t, maps).block == width
+        assert folded_modes(maps, t) == folded
+        out = apply_product_map(maps, t)
+        assert out == util.apply_product_map_kfold(maps, t)
+        assert out.entries[(0, 0)] == QC(value) and out.entries[(1, 1)] == QC(-value + 1)
+
+
+def test_image_slots_with_every_digit_at_the_width_bound():
+    # Every output coefficient is +-(2^62 - 1), the bound itself, at the
+    # edge of the balanced 63-bit digit, with signs alternating from one
+    # block to the next and zero blocks between. All three modes fold.
+    n = 2**62 - 1
+    t = Tensor((2, 2, 2), {(0, 0, 0): QC(n), (1, 1, 1): QC(-n)})
+    maps = [signed_rows(4, 2)] * 3
+    assert folded_modes(maps, t) == 3
+    out = apply_product_map(maps, t)
+    assert out == util.apply_product_map_kfold(maps, t)
+    assert {abs(v.re) for v in out.entries.values()} == {n}
+    # The same with one eps power per map entry: the digits at the lowest
+    # degree, eps^-3, are at the bound too.
+    eps_maps = [signed_rows(4, 2, EPS)] * 3
+    low, d, e = lowest_eps_image(eps_maps, t)
+    assert (low, d, e) == lowest_by_unpacking(eps_maps, t)
+    assert (d, e) == (-3, 6) and {abs(v.re) for v in low.entries.values()} == {n}
+
+
+def test_image_slots_fold_no_mode_when_one_block_fills_the_budget():
+    # A wide eps degree span makes one packed scalar wider than the budget
+    # divided by any row count, so the lane keeps every mode mode-wise.
+    maps = wide_border_cert(1000)
+    t = ghz(2)
+    assert _Lane(t, maps).block * 2 > PACKED_IMAGE_BITS
+    assert folded_modes(maps, t) == 0
+    assert lowest_eps_image(maps, t) == lowest_by_unpacking(maps, t)
+
+
+def test_sparse_images_read_only_their_nonzero_blocks():
+    # Twelve diagonal entries under maps with one entry per column: most
+    # blocks of the packed values are zero and are jumped over.
+    t = ghz(12)
+    maps = [Matrix(20, 12, {((3 * c + 7 * j) % 20, c): QC(c + 1) for c in range(12)}) for j in range(3)]
+    assert 0 < folded_modes(maps, t) < 3
+    out = apply_product_map(maps, t)
+    assert out == util.apply_product_map_kfold(maps, t) and out.nnz() == 12
 
 
 def dense_ones(side):

@@ -22,6 +22,7 @@ from tpl.tensor import (
     equal_up_to_padding,
     group,
     kron,
+    kron_power,
     permute_factors,
     strip_padding,
     tensor_product,
@@ -58,6 +59,25 @@ def test_direct_sum_errors():
         direct_sum(ghz(2, 3), ghz(2, 2))
     with pytest.raises(ValueError):
         direct_sum(ghz(2), ghz(2).to_float())
+
+
+def test_direct_sum_many_of_no_tensors_is_a_value_error():
+    with pytest.raises(ValueError, match="at least one tensor"):
+        direct_sum_many([])
+    assert direct_sum_many([ghz(2)]) == ghz(2)
+
+
+@pytest.mark.parametrize("n", [True, 2.0, 1.5, np.int64(2), "2"])
+def test_kron_power_refuses_a_count_that_is_not_an_int(n):
+    with pytest.raises(ValueError, match="kron_power n must be ints"):
+        kron_power(ghz(2), n)
+
+
+def test_kron_power_counts_factors():
+    assert kron_power(ghz(2), 1) == ghz(2)
+    assert kron_power(ghz(2), 3) == ghz(8)
+    with pytest.raises(ValueError, match="n >= 1"):
+        kron_power(ghz(2), 0)
 
 
 def test_w_plus_w_flattening_ranks():
