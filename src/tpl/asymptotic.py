@@ -18,7 +18,7 @@ from .matrix import rank
 from .named import ghz, mamu
 from .obstructions import KoszulSpec, flattening_ratio, gauge_points, koszul_flatten, _koszul_size_error
 from .preorder import CertificateError, _interpolation_certificate, verify_degeneration
-from .tensor import DENSE_ENTRY_GUARD, StructureTooLarge, equal_up_to_padding, kron, strip_padding
+from .tensor import StructureTooLarge, check_entry_count, equal_up_to_padding, kron, strip_padding
 
 MATRIX_SIDE_GUARD = 10**5
 
@@ -267,10 +267,7 @@ def lattice_construction(t, other, degcert, family, n):
     h = make_family(family, n)
     k, slots = h.n_edges, h.vertex_slots()
     entries = sum(math.prod(degcert.maps[pos].nnz() for pos, _edge in vs) for vs in slots)
-    if (k * e + 1) * entries > DENSE_ENTRY_GUARD:
-        raise StructureTooLarge(
-            f"{k * e + 1} evaluations of {entries} vertex-map entries exceed {DENSE_ENTRY_GUARD}"
-        )
+    check_entry_count((k * e + 1) * entries, f"{k * e + 1} evaluations of {entries} vertex-map entries")
     factors = [[degcert.maps[pos] for pos, _edge in vs] for vs in slots]
     return _interpolation_certificate(structure_dims(h, t), structure_dims(h, other), factors, k * d, k * e)
 

@@ -29,7 +29,7 @@ from functools import reduce
 
 from . import scalars
 from .scalars import RATIONAL
-from .tensor import DENSE_ENTRY_GUARD, GroupingSpec, StructureTooLarge, Tensor, group, tensor_product
+from .tensor import GroupingSpec, Tensor, check_entry_count, group, tensor_product
 
 FAMILIES = ("Disjoint", "Strassen", "Triangular", "Kagome", "Fan")
 
@@ -111,10 +111,7 @@ def make_family(family, n, k=3):
     scalars.check_ints((n, k), "family size n and uniformity k")
     if n < 1:
         raise ValueError("family size n must be >= 1")
-    if n * k > DENSE_ENTRY_GUARD:
-        raise StructureTooLarge(
-            f"family size n = {n} times uniformity k = {k} exceeds the guard {DENSE_ENTRY_GUARD}"
-        )
+    check_entry_count(n * k, f"family size n = {n} times uniformity k = {k}")
     if family == "Disjoint":
         if k < 2:
             raise ValueError("Disjoint needs k >= 2")
@@ -287,6 +284,14 @@ def _slot_blocks(edges, slots):
     return [tuple(offsets[e] + pos for pos, e in vs) for vs in slots]
 
 
+def _edge_tensors(h, assignment):
+    """The edge tensors, once the product of their entry counts passes the guard."""
+    tensors = resolve_assignment(h, assignment)
+    entries = math.prod(t.nnz() for t in tensors)
+    check_entry_count(entries, f"structure tensor of {entries} entries")
+    return tensors
+
+
 def build_structure(h, assignment):
     """Structure tensor of order |V|: edge tensors merged vertex by vertex.
 
@@ -297,12 +302,7 @@ def build_structure(h, assignment):
     anything, when the product of the edge tensors' entry counts exceeds
     ``DENSE_ENTRY_GUARD``.
     """
-    tensors = resolve_assignment(h, assignment)
-    entries = math.prod(t.nnz() for t in tensors)
-    if entries > DENSE_ENTRY_GUARD:
-        raise StructureTooLarge(
-            f"structure tensor of {entries} entries exceeds the entry guard {DENSE_ENTRY_GUARD}"
-        )
+    tensors = _edge_tensors(h, assignment)
     domain = tensors[0].domain if tensors else RATIONAL
     one = scalars.one(domain)
     blocks = _slot_blocks(h.edges, h.vertex_slots())
@@ -321,9 +321,10 @@ def slot_structure(h, assignment):
 
     Returns ``(tensor, vertex_grouping)`` where grouping the slot tensor by
     ``vertex_grouping`` reproduces :func:`build_structure` exactly. Requires
-    every vertex to be incident to at least one edge.
+    every vertex to be incident to at least one edge; the entry guard of
+    :func:`build_structure` applies.
     """
-    tensors = resolve_assignment(h, assignment)
+    tensors = _edge_tensors(h, assignment)
     blocks = _slot_blocks(h.edges, h.vertex_slots())
     if not all(blocks):
         raise ValueError("slot_structure needs every vertex on some edge")

@@ -62,14 +62,16 @@ class Matrix(Tensor):
         return Matrix(*self.dims, {ij: v * factor for ij, v in self.entries.items()}, self.domain)
 
     def __matmul__(self, other):
-        """Matrix product, as the product map (self, identity) applied to ``other``."""
+        """Matrix product: ``other`` under the product map (self, identity on its used columns)."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         if self.domain != other.domain:
             raise ValueError("domain mismatch in matrix product")
-        return _matrix(apply_product_map([self, Matrix.identity(other.cols, other.domain)], other))
+        one = scalars.one(other.domain)
+        eye = _tensor((other.cols,) * 2, {(j, j): one for _, j in other.entries}, other.domain, Matrix)
+        return _matrix(apply_product_map([self, eye], other))
 
     def kron(self, other):
         """Kronecker product with row-major index packing on both sides."""

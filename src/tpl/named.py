@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .scalars import QC_ONE, RATIONAL, check_ints
-from .tensor import DENSE_ENTRY_GUARD, StructureTooLarge, Tensor
+from .tensor import Tensor, check_entry_count
 
 NAMES = ("GHZ", "W", "EPR", "MaMu", "CW", "Unit")
 
@@ -113,8 +113,5 @@ def make_named(spec):
 def _check_size(name, entries, order):
     """Raise StructureTooLarge when entries * order index components exceed the guard."""
     components = max(entries, 0) * max(order, 0)
-    if components > DENSE_ENTRY_GUARD:
-        raise StructureTooLarge(
-            f"{name} would hold {entries} entries of order {order}: {components} index "
-            f"components, over {DENSE_ENTRY_GUARD}"
-        )
+    what = f"{name} of {entries} entries of order {order} ({components} index components)"
+    check_entry_count(components, what)

@@ -48,13 +48,15 @@ class StructureTooLarge(ValueError):
     """Desk-scale guard: the requested finite structure will not fit."""
 
 
+def check_entry_count(count, what):
+    """Raise StructureTooLarge when ``count``, the entries of ``what``, exceeds the guard."""
+    if count > DENSE_ENTRY_GUARD:
+        raise StructureTooLarge(f"{what} exceeds the entry guard {DENSE_ENTRY_GUARD}")
+
+
 def check_dense_size(shape, what="dense array"):
     """Raise StructureTooLarge when a dense array of ``shape`` exceeds the guard."""
-    size = math.prod(shape)
-    if size > DENSE_ENTRY_GUARD:
-        raise StructureTooLarge(
-            f"{what} of shape {tuple(shape)} has {size} entries, over {DENSE_ENTRY_GUARD}"
-        )
+    check_entry_count(math.prod(shape), f"{what} of shape {tuple(shape)}")
 
 
 class GroupingSpec:
@@ -248,6 +250,8 @@ def tensor_product(t, u):
     """Tensor product of t and u, of order k + k': t's factors, then u's."""
     if t.domain != u.domain:
         raise ValueError(f"domain mismatch: {t.domain} vs {u.domain}")
+    a, b = len(t.entries), len(u.entries)
+    check_entry_count(a * b, f"tensor product of {a} x {b} entries")
     dims = t.dims + u.dims
     entries = {}
     for (it, vt) in t.entries.items():
@@ -269,6 +273,9 @@ def kron_power(t, n):
     scalars.check_ints((n,), "kron_power n")
     if n < 1:
         raise ValueError("kron_power needs n >= 1")
+    # nnz^n stays 0 or 1, or passes the guard within its bit length of factors.
+    cap = min(n, DENSE_ENTRY_GUARD.bit_length())
+    check_entry_count(t.nnz() ** cap, f"Kronecker power {n} of {t.nnz()} entries")
     acc = t
     for _ in range(n - 1):
         acc = kron(acc, t)
@@ -315,7 +322,8 @@ def apply_product_map(maps, t):
     The trailing modes whose image fits ``PACKED_IMAGE_BITS`` are folded
     into the packed values by big-int products, the leading modes run
     through the mode-wise loop :func:`_contract` (the mode-n product), and
-    each output coefficient is reduced by one gcd when it is unpacked.
+    each output coefficient is read with one gcd: by :meth:`_Lane.digits`
+    when a block holds one real digit, else by :meth:`_Lane.unpack`.
     Float operands run through :func:`_contract` as they are, every mode in
     factor order.
     """
@@ -325,10 +333,16 @@ def apply_product_map(maps, t):
         _check_contraction(len(t.entries), maps, t.dims, dims)
         return _tensor(dims, _contract(t.entries, [m.columns() for m in maps]), FLOAT)
     lane = _Lane(t, maps)
-    image = lane.unpack(_contract(lane.tensor, lane.columns))
-    if domain == EPS:
-        return _tensor(dims, {idx: _eps(coeffs) for idx, coeffs in image.items()}, EPS)
-    return _tensor(dims, {idx: coeffs[0] for idx, coeffs in image.items()}, domain)
+    values = _contract(lane.tensor, lane.columns)
+    if lane.block == lane.width:  # one real digit per block
+        image = lane.digits(values, 0)
+        if domain == EPS:
+            image = {idx: _eps({lane.lo: q}) for idx, q in image.items()}
+    elif domain == EPS:
+        image = {idx: _eps(coeffs) for idx, coeffs in lane.unpack(values).items()}
+    else:
+        image = {idx: coeffs[0] for idx, coeffs in lane.unpack(values).items()}
+    return _tensor(dims, image, domain)
 
 
 def lowest_eps_image(maps, t):
@@ -386,11 +400,7 @@ def _check_contraction(nnz, maps, dims, rows):
         shape[j] = rows[j]
         longest = max(Counter(c for _, c in m.entries).values(), default=0)
         bound = min(bound * longest, math.prod(shape))
-        if bound > DENSE_ENTRY_GUARD:
-            raise StructureTooLarge(
-                f"mode {j} of the contraction to {_shape(shape)} may hold {bound} "
-                f"entries, over {DENSE_ENTRY_GUARD}"
-            )
+        check_entry_count(bound, f"mode {j} of the contraction to {_shape(shape)} (<= {bound} entries)")
 
 
 def _contract(entries, columns):
@@ -501,6 +511,9 @@ class _Lane:
     ``tails[b]`` is the trailing image index of block b. With lead = 0
     there is one key, the empty index; with lead = k each value is one
     packed scalar.
+
+    Reading. :meth:`blocks` is the one walk over a packed value's blocks;
+    :meth:`digits` reads one slot of each nonzero block, :meth:`unpack` all.
     """
 
     def __init__(self, t, maps):
@@ -551,8 +564,8 @@ class _Lane:
     def unpack(self, values):
         """Image index -> (degree -> QC map) of packed values keyed by leading index.
 
-        Each nonzero block of a value is read once (:meth:`blocks`): the
-        balanced digits, X^s folded to i^s, and each coefficient divided by
+        Each nonzero block of a value is read once (:meth:`blocks`): every
+        balanced digit, X^s folded to i^s, and each coefficient divided by
         the product of the denominators with one gcd. Blocks that fold to
         zero are left out.
         """
@@ -562,13 +575,6 @@ class _Lane:
         nbytes = (self.block + 7) // 8
         out = {}
         for key, x in values.items():
-            if self.block == width:  # one real digit per block
-                for tail, y in self.blocks(x):
-                    a = y - half
-                    if a:
-                        g = math.gcd(a, den)
-                        out[key + tail] = {lo: _qc(a // g, 0, den // g)}
-                continue
             for tail, y in self.blocks(x):
                 # One byte string, so that reading every slot costs linear time.
                 data = y.to_bytes(nbytes, "little")
@@ -592,16 +598,33 @@ class _Lane:
                     out[key + tail] = coeffs
         return out
 
+    def digits(self, values, slot):
+        """Image index -> QC of the nonzero balanced digit at ``slot`` of its block.
+
+        For lanes without X slots: the real coefficient of degree slot + lo,
+        read from every nonzero block (:meth:`blocks`); zero digits are left out.
+        """
+        width, den = self.width, self.den
+        shift, mask, half = width * slot, (1 << width) - 1, 1 << (width - 1)
+        out = {}
+        for key, x in values.items():
+            for tail, y in self.blocks(x):
+                a = ((y >> shift) & mask) - half
+                if a:
+                    g = math.gcd(a, den)
+                    out[key + tail] = _qc(a // g, 0, den // g)
+        return out
+
     def blocks(self, x):
         """``(tail, y)`` for each block of packed value x with a nonzero digit, lowest first.
 
-        ``tail`` is the block's trailing image index and y its bits of
-        x + offset, where every digit lies in [0, 2^K) and a balanced digit
-        is its slot minus half. (x + offset) ^ offset is nonzero in exactly
-        the slots whose balanced digit is nonzero, so each step jumps to its
-        lowest set bit: a sparse image costs its nonzero blocks, not its
-        size. A value of several blocks holds at most PACKED_IMAGE_BITS
-        bits, so each shift is short.
+        The one block walk of both readers. ``tail`` is the block's trailing
+        image index and y its bits of x + offset, where each digit lies in
+        [0, 2^K) and a balanced digit is its slot minus half. Exactly the
+        nonzero balanced digits are nonzero in (x + offset) ^ offset, so each
+        step jumps to its lowest set bit: a sparse image costs its nonzero
+        blocks, not its size. A value of several blocks holds at most
+        PACKED_IMAGE_BITS bits, so each shift is short.
         """
         block, offset = self.block, self.offset
         mask = (1 << block) - 1
@@ -625,24 +648,21 @@ class _Lane:
         as a QC. Without X slots, a slot's digit is nonzero exactly where
         (x + offset) ^ offset is (:meth:`blocks`). The OR of these over all
         values, folded over the blocks by halving their count, gives the
-        lowest and highest slot; then only the digit at the lowest slot of
-        each block is read, jumping from one nonzero digit to the next.
-        With X slots each value is unpacked, since X^2 = -1 must be folded
-        first.
+        lowest and highest slot; then :meth:`digits` reads the lowest slot
+        of every nonzero block. With X slots each value is unpacked, since
+        X^2 = -1 must be folded first.
         """
         if self.x_degree:
             polys = self.unpack(values)
-            if not polys:
-                return None
             degrees = {k for coeffs in polys.values() for k in coeffs}
+            if not degrees:
+                return None
             d = min(degrees)
-            low = {idx: coeffs[d] for idx, coeffs in polys.items() if d in coeffs}
-            return low, d, max(degrees) - d
+            return {i: c[d] for i, c in polys.items() if d in c}, d, max(degrees) - d
         width, block, offset = self.width, self.block, self.offset
-        shifted = {key: x + offset for key, x in values.items()}
         used = 0
-        for y in shifted.values():
-            used |= y ^ offset
+        for x in values.values():
+            used |= (x + offset) ^ offset
         # Fold the blocks onto one, halving their count at each step.
         count = len(self.tails)
         while count > 1:
@@ -650,27 +670,8 @@ class _Lane:
             used = (used & ((1 << (count * block)) - 1)) | (used >> (count * block))
         if not used:
             return None
-        low_slot = ((used & -used).bit_length() - 1) // width
-        shift, mask, half, den = width * low_slot, (1 << width) - 1, 1 << (width - 1), self.den
-        # The lowest slot of every block; the loop below jumps from one
-        # nonzero digit there to the next.
-        digits = mask * (((1 << (block * len(self.tails))) - 1) // ((1 << block) - 1))
-        low = {}
-        for key, y in shifted.items():
-            z = ((y ^ offset) >> shift) & digits
-            y >>= shift
-            b = 0
-            while z:
-                skip = ((z & -z).bit_length() - 1) // block
-                z >>= (skip + 1) * block
-                y >>= skip * block
-                b += skip
-                a = (y & mask) - half
-                g = math.gcd(a, den)
-                low[key + self.tails[b]] = _qc(a // g, 0, den // g)
-                y >>= block
-                b += 1
-        return low, low_slot + self.lo, (used.bit_length() - 1) // width - low_slot
+        low = ((used & -used).bit_length() - 1) // width
+        return self.digits(values, low), low + self.lo, (used.bit_length() - 1) // width - low
 
 
 @functools.lru_cache(maxsize=64)

@@ -18,13 +18,13 @@ from util import w_border_cert
 from tpl import jsonio
 from tpl.catalog import Catalog
 from tpl.cli import main
-from tpl.hypergraph import GroupingMap, Hypergraph, make_family
+from tpl.hypergraph import GroupingMap, Hypergraph, make_family, slot_structure
 from tpl.matrix import Matrix
 from tpl.named import NamedTensorSpec, ghz, make_named, w_state
 from tpl.obstructions import KoszulSpec
 from tpl.preorder import CertificateError, DegenerationCertificate, RestrictionCertificate
 from tpl.scalars import EPS, EpsPoly, QC, parse_int
-from tpl.tensor import DENSE_ENTRY_GUARD, GroupingSpec, StructureTooLarge, Tensor
+from tpl.tensor import DENSE_ENTRY_GUARD, GroupingSpec, StructureTooLarge, Tensor, kron, kron_power, tensor_product
 
 CONSTRUCTORS = {
     "Tensor": lambda dims, entries: Tensor(dims, entries),
@@ -307,3 +307,52 @@ def test_cert_verify_refuses_an_oversized_contraction(capsys, tmp_path):
         "--cert", _write(tmp_path, "cert.json", jsonio.certificate_to_json(RestrictionCertificate((dense,) * 3))),
     ]
     assert "mode 1 of the contraction" in _refused_fast(capsys, argv, seconds=5.0)
+
+
+def _raises_fast(build, seconds=1.0):
+    start = time.perf_counter()
+    with pytest.raises(StructureTooLarge, match="guard") as info:
+        build()
+    assert time.perf_counter() - start < seconds
+    return str(info.value)
+
+
+def _no_product(*args):
+    raise AssertionError("the guard let the product be built")
+
+
+def test_product_builders_refuse_before_they_allocate(monkeypatch):
+    # 1001 * 1001 = 1,002,001 entries, and 2^25 for the Kronecker power.
+    big = ghz(1001)
+    column = Matrix(1001, 1, {(i, 0): QC(i + 1) for i in range(1001)})
+    assert "tensor product of 1001 x 1001 entries" in _raises_fast(lambda: tensor_product(big, big))
+    _raises_fast(lambda: kron(big, big))
+    _raises_fast(lambda: column.kron(column))
+    monkeypatch.setattr("tpl.tensor.kron", _no_product)
+    assert "Kronecker power 25 of 2 entries" in _raises_fast(lambda: kron_power(ghz(2), 25))
+    _raises_fast(lambda: kron_power(ghz(2), 10**18))
+
+
+def test_kron_power_guard_is_exact_up_to_its_cap(monkeypatch):
+    # 2^19 and 10^6 entries pass, 2^20 and 10^7 do not; the power of a
+    # 1-entry tensor never grows.
+    monkeypatch.setattr("tpl.tensor.kron", lambda acc, t: acc)
+    ten = Tensor((10, 1, 1), {(i, 0, 0): QC(1) for i in range(10)})
+    kron_power(ghz(2), 19)
+    kron_power(ten, 6)
+    kron_power(ghz(1), 1000)
+    _raises_fast(lambda: kron_power(ghz(2), 20))
+    _raises_fast(lambda: kron_power(ten, 7))
+
+
+def test_slot_structure_refuses_before_any_product(monkeypatch):
+    # 3^13 = 1,594,323 entries, the check of build_structure.
+    monkeypatch.setattr("tpl.hypergraph.tensor_product", _no_product)
+    h = make_family("Strassen", 13, 3)
+    assert "structure tensor of 1594323 entries" in _raises_fast(lambda: slot_structure(h, ghz(3)))
+
+
+@pytest.mark.parametrize("op", ["kron", "tensor-product"])
+def test_op_refuses_an_oversized_product(capsys, tmp_path, op):
+    path = _write(tmp_path, "big.json", jsonio.tensor_to_json(ghz(1001)))
+    assert "guard" in _refused_fast(capsys, ["op", op, "--src", path, "--dst", path], seconds=1.0)

@@ -24,7 +24,7 @@ from functools import reduce
 from itertools import product
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import util
@@ -45,6 +45,7 @@ from tpl.tensor import (
     permute_factors,
     strip_padding,
     tensor_product,
+    _contract,
     _Lane,
 )
 
@@ -459,6 +460,43 @@ def test_sparse_images_read_only_their_nonzero_blocks():
     assert 0 < folded_modes(maps, t) < 3
     out = apply_product_map(maps, t)
     assert out == util.apply_product_map_kfold(maps, t) and out.nnz() == 12
+
+
+@PROPERTY
+@given(image_slot_cases())
+def test_digits_at_every_slot_match_the_full_unpack(case):
+    # On a lane without X slots, the digit at slot s of each block is the
+    # coefficient of degree s + lo; the lowest slot is only one of them.
+    maps, t = case
+    lane = _Lane(t, maps)
+    assume(not lane.x_degree)
+    values = _contract(lane.tensor, lane.columns)
+    image = lane.unpack(values)
+    event(f"{lane.eps_slots} slots")
+    for s in range(lane.eps_slots):
+        k = s + lane.lo
+        assert lane.digits(values, s) == {idx: c[k] for idx, c in image.items() if k in c}
+
+
+def test_one_slot_eps_image_is_read_as_its_one_degree():
+    # Each operand's entries share one eps degree (1, -2 and 3), so the image
+    # has the one degree 2 and each block one digit. Row 0 of the first map
+    # cancels column 0 of the tensor, 1 * 1/2 + 1/6 * -3 = 0, so the image
+    # has no entry at (0, 0).
+    def at(k, values):
+        return {idx: EpsPoly({k: QC(v)}) for idx, v in values.items()}
+
+    t = Tensor((2, 2), at(1, {(0, 0): Fraction(1, 2), (1, 0): -3, (1, 1): 5}), EPS)
+    maps = [
+        Matrix(2, 2, at(-2, {(0, 0): 1, (0, 1): Fraction(1, 6), (1, 1): -2}), EPS),
+        Matrix(3, 2, at(3, {(0, 0): 2, (2, 0): -1, (1, 1): 7, (2, 1): 1}), EPS),
+    ]
+    lane = _Lane(t, maps)
+    assert lane.block == lane.width and lane.lo == 2
+    out = apply_product_map(maps, t)
+    assert out == util.apply_product_map_kfold(maps, t)
+    assert sorted(out.entries) == [(0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+    assert {k for v in out.entries.values() for k in v.coeffs} == {2}
 
 
 def dense_ones(side):

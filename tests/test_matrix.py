@@ -1,6 +1,7 @@
 """A Matrix is an order-2 Tensor: products against numpy, kernel output types."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,7 +16,7 @@ from tpl.matrix import Matrix, flatten
 from tpl.named import ghz, w_state
 from tpl.obstructions import KoszulSpec, koszul_flatten
 from tpl.preorder import interpolate
-from tpl.scalars import EPS, FLOAT, RATIONAL, QC
+from tpl.scalars import EPS, FLOAT, RATIONAL, EpsPoly, QC
 from tpl.tensor import Tensor
 
 
@@ -43,6 +44,27 @@ def test_products_match_numpy(seed):
     c = random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3))
     assert np.allclose((a @ b).to_numpy(), a.to_numpy() @ b.to_numpy())
     assert np.allclose(a.kron(c).to_numpy(), np.kron(a.to_numpy(), c.to_numpy()))
+
+
+def test_product_builds_its_identity_only_on_the_used_columns():
+    # One entry in a 10^6 x 10^6 matrix: an identity on every column would
+    # hold a million entries.
+    side = 10**6
+    m = Matrix(side, side, {(3, 5): QC(2)})
+    u = Matrix(side, side, {(5, 7): QC(3), (6, 1): QC(1)})
+    start = time.perf_counter()
+    assert m @ u == Matrix(side, side, {(3, 7): QC(6)})
+    assert (m @ m).is_zero()
+    assert time.perf_counter() - start < 0.5
+    # Every domain, with columns that the right factor leaves empty.
+    cases = [
+        (Matrix(2, 3, {(0, 1): EpsPoly.eps(1), (1, 2): EpsPoly({-1: QC(2)})}, EPS),
+         Matrix(3, 4, {(1, 3): EpsPoly.eps(2), (2, 3): EpsPoly({0: QC(1, 1)})}, EPS)),
+        (Matrix(2, 2, {(0, 1): 1j, (1, 1): 2 + 0j}, FLOAT), Matrix(2, 3, {(1, 0): 0.5 + 0j}, FLOAT)),
+        (Matrix(1, 2, {(0, 0): QC(1, 2)}), Matrix(2, 5, {})),
+    ]
+    for a, b in cases:
+        assert a @ b == util.apply_product_map_kfold([a, Matrix.identity(b.cols, b.domain)], b)
 
 
 @pytest.mark.parametrize("dims", [(2, 3, 2), (3, 1, 2), (2, 2, 3, 2), (1, 3, 2, 2)])
