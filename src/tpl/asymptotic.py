@@ -15,10 +15,11 @@ from fractions import Fraction
 from .catalog import Catalog
 from .hypergraph import make_family, structure_dims
 from .matrix import rank
-from .named import ghz, mamu
+from .named import mamu
 from .obstructions import KoszulSpec, flattening_ratio, gauge_points, koszul_flatten, _koszul_size_error
 from .preorder import CertificateError, _interpolation_certificate, verify_degeneration
-from .tensor import StructureTooLarge, check_entry_count, equal_up_to_padding, kron, strip_padding
+from .scalars import RATIONAL
+from .tensor import StructureTooLarge, equal_up_to_padding, kron, strip_padding
 
 MATRIX_SIDE_GUARD = 10**5
 
@@ -79,13 +80,12 @@ class BoundReport:
 
 
 def unit_size(t):
-    """r when t is (a padding of) the size-r unit tensor in diagonal form."""
+    """r when t is (a padding of) the size-r unit tensor: rational, each of its r entries a diagonal 1."""
     s = strip_padding(t)
-    if s.is_zero():
+    if s.is_zero() or s.domain != RATIONAL:
         return None
-    r = s.nnz()
-    if s == ghz(r, s.order):
-        return r
+    if all(v == 1 and len(set(idx)) == 1 for idx, v in s.entries.items()):
+        return s.nnz()
     return None
 
 
@@ -257,18 +257,15 @@ def lattice_construction(t, other, degcert, family, n):
     structure is built. No eps vertex map is built either: evaluation
     commutes with the Kronecker product, so the interpolation evaluates each
     edge map once at the E + 1 points and forms each vertex block as the
-    integer Kronecker product of those values. E + 1 times the vertex maps'
-    entry count over the dense size guard raises StructureTooLarge before
-    any evaluation.
+    integer Kronecker product of those values. Its guard is the only one:
+    an evaluation table or vertex blocks over the dense size guard raise
+    StructureTooLarge before any evaluation.
     """
     ok, d, e = verify_degeneration(t, other, degcert)
     if not ok:
         raise CertificateError("degeneration certificate does not verify")
     h = make_family(family, n)
-    k, slots = h.n_edges, h.vertex_slots()
-    entries = sum(math.prod(degcert.maps[pos].nnz() for pos, _edge in vs) for vs in slots)
-    check_entry_count((k * e + 1) * entries, f"{k * e + 1} evaluations of {entries} vertex-map entries")
-    factors = [[degcert.maps[pos] for pos, _edge in vs] for vs in slots]
+    k, factors = h.n_edges, [[degcert.maps[pos] for pos, _edge in vs] for vs in h.vertex_slots()]
     return _interpolation_certificate(structure_dims(h, t), structure_dims(h, other), factors, k * d, k * e)
 
 

@@ -15,7 +15,7 @@ import math
 
 from . import scalars
 from .scalars import EPS, FLOAT, RATIONAL, QC, _reduced
-from .tensor import GroupingSpec, Tensor, _check_entries, _tensor, apply_product_map, group, kron
+from .tensor import GroupingSpec, Tensor, _check_entries, _check_index_components, _tensor, apply_product_map, group, kron
 
 DEFAULT_FLOAT_RANK_TOL = 1e-9
 
@@ -39,6 +39,7 @@ class Matrix(Tensor):
 
     @classmethod
     def identity(cls, n, domain=RATIONAL):
+        _check_index_components("identity", n, 2)
         one = scalars.one(domain)
         return cls(n, n, {(i, i): one for i in range(n)}, domain)
 

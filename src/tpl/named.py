@@ -2,7 +2,9 @@
 
 All constructors return rational-domain tensors with entries equal to 1
 unless stated otherwise. ``unit`` is an alias for ``ghz``: the unit tensor
-of size r on k factors is the r-level GHZ state.
+of size r on k factors is the r-level GHZ state. ``ghz`` (so ``unit``,
+``epr`` and ``simple``), ``mamu`` and ``cw`` raise StructureTooLarge before
+building a tensor of over ``DENSE_ENTRY_GUARD`` index components (entries times order).
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .scalars import QC_ONE, RATIONAL, check_ints
-from .tensor import Tensor, check_entry_count
+from .tensor import Tensor, _check_index_components
 
 NAMES = ("GHZ", "W", "EPR", "MaMu", "CW", "Unit")
 
@@ -19,6 +21,7 @@ def ghz(r, k=3):
     """r-level GHZ state on k factors: entries 1 at (i, i, ..., i)."""
     if r < 1 or k < 1:
         raise ValueError("ghz needs r >= 1 and k >= 1")
+    _check_index_components("GHZ", r, k)
     return Tensor((r,) * k, {(i,) * k: QC_ONE for i in range(r)}, RATIONAL)
 
 
@@ -47,6 +50,7 @@ def mamu(d):
     """
     if d < 1:
         raise ValueError("mamu needs d >= 1")
+    _check_index_components("MaMu", d**3, 3)
     entries = {}
     for i1 in range(d):
         for i2 in range(d):
@@ -59,6 +63,7 @@ def cw(q):
     """q-level EPR pairs embedded in a W pattern: dims (q+1)^3, 3q entries."""
     if q < 1:
         raise ValueError("cw needs q >= 1")
+    _check_index_components("CW", 3 * q, 3)
     entries = {}
     for i in range(1, q + 1):
         entries[(i, i, 0)] = QC_ONE
@@ -87,31 +92,18 @@ class NamedTensorSpec:
 def make_named(spec):
     """Build the tensor a NamedTensorSpec describes; every parameter must be an int.
 
-    A tensor whose index components (entries times order) would exceed
-    ``DENSE_ENTRY_GUARD`` raises StructureTooLarge before it is built.
+    The size guard is the constructor's own (see the module docstring).
     """
     p = spec.params
     check_ints(p.values(), f"{spec.name} parameters")
     if spec.name in ("GHZ", "Unit"):
-        r, k = p["r"], p.get("k", 3)
-        _check_size(spec.name, r, k)
-        return ghz(r, k) if spec.name == "GHZ" else unit(r, k)
+        return ghz(p["r"], p.get("k", 3))
     if spec.name == "W":
         return w_state()
     if spec.name == "EPR":
-        _check_size("EPR", p["d"], 2)
         return epr(p["d"])
     if spec.name == "MaMu":
-        _check_size("MaMu", p["d"] ** 3, 3)
         return mamu(p["d"])
     if spec.name == "CW":
-        _check_size("CW", 3 * p["q"], 3)
         return cw(p["q"])
     raise ValueError(f"unknown tensor name {spec.name!r}")
-
-
-def _check_size(name, entries, order):
-    """Raise StructureTooLarge when entries * order index components exceed the guard."""
-    components = max(entries, 0) * max(order, 0)
-    what = f"{name} of {entries} entries of order {order} ({components} index components)"
-    check_entry_count(components, what)

@@ -18,7 +18,7 @@ from . import scalars
 from .matrix import Matrix
 from .obstructions import gauge_points, hyperdeterminant_222
 from .scalars import EPS, RATIONAL, QC, _qc, _reduced
-from .tensor import _tensor, apply_product_map, check_dense_size, direct_sum_many, lowest_eps_image
+from .tensor import _tensor, apply_product_map, check_dense_size, check_entry_count, direct_sum_many, lowest_eps_image
 
 
 class CertificateError(ValueError):
@@ -160,27 +160,26 @@ def _interpolation_certificate(dims, target_dims, factors, d, e):
     :func:`interpolation_weights` makes the result a restriction from e + 1
     source copies.
 
-    Before any map is evaluated, the evaluation table (e + 1 points times,
-    per factor, its map's entry count times its degree range widened to
-    include 0) is held to the dense size guard; an oversized one raises
-    StructureTooLarge. Under a Kronecker product entry counts multiply and
-    degree extremes add, so the table is computed from the listed maps.
-    Each listed map is then evaluated once at all points, in integers
-    (:func:`tpl.scalars._eval_table`). Evaluation commutes with the
-    Kronecker product, so each block is the integer Kronecker product of
-    its maps' values (:func:`_kron_values`); the factor-0 weight is folded
-    into its numerators and denominator, and each entry is reduced with
-    one gcd.
+    The one size guard of both callers holds what is built here to the
+    dense size guard before any map is evaluated (StructureTooLarge above
+    it): the evaluation table, e + 1 points times, over the listed maps,
+    each one's entry count times its degree range widened to include 0;
+    then the output blocks, e + 1 times the sum over the factors of the
+    product of their maps' entry counts. Each listed map is then evaluated
+    once at all points, in integers (:func:`tpl.scalars._eval_table`).
+    Evaluation commutes with the Kronecker product, so each block is the
+    integer Kronecker product of its maps' values (:func:`_kron_values`);
+    the factor-0 weight is folded into its numerators and denominator, and
+    each entry is reduced with one gcd.
     """
     width = 0
     for maps in factors:
-        nnz, low, high = 1, 0, 0
         for m in maps:
-            degrees = [k for p in m.entries.values() for k in p.coeffs]
-            nnz *= m.nnz()
-            low, high = low + min(degrees, default=0), high + max(degrees, default=0)
-        width += nnz * (max(high, 0) - min(low, 0) + 1)
+            degrees = [0, *(k for p in m.entries.values() for k in p.coeffs)]
+            width += m.nnz() * (max(degrees) - min(degrees) + 1)
     check_dense_size((e + 1, width), "interpolation evaluation table")
+    entries = sum(math.prod(m.nnz() for m in maps) for maps in factors)
+    check_entry_count((e + 1) * entries, f"{e + 1} evaluations of {entries} vertex-map entries")
     points = [QC(x) for x in range(1, e + 2)]
     values = {}
     for maps in factors:

@@ -54,6 +54,16 @@ def check_entry_count(count, what):
         raise StructureTooLarge(f"{what} exceeds the entry guard {DENSE_ENTRY_GUARD}")
 
 
+def _check_index_components(name, entries, order):
+    """Raise StructureTooLarge when ``entries`` index tuples of length ``order`` exceed the guard.
+
+    Only a refusal calls ``check_entry_count``, as ``bench/tracer.py`` spans each public call.
+    """
+    components = entries * order
+    if components > DENSE_ENTRY_GUARD:
+        check_entry_count(components, f"{name} of {entries} entries of order {order} ({components} index components)")
+
+
 def check_dense_size(shape, what="dense array"):
     """Raise StructureTooLarge when a dense array of ``shape`` exceeds the guard."""
     check_entry_count(math.prod(shape), f"{what} of shape {tuple(shape)}")

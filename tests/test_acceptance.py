@@ -328,6 +328,16 @@ def test_criterion_12_lattice_at_n_12():
             assert [m.dims for m in cert.maps] == [(b, 25 * a) for a, b in dims]
 
 
+def test_criterion_13_lattice_near_the_guard():
+    with Budget("13 (lattice construction near the size guard)", 15.0):
+        for family, n, entries in (("Triangular", 40, 705_915), ("Kagome", 150, 593_271)):
+            cert = lattice_construction(ghz(2), w_state(), w_border_cert(), family, n)
+            h = make_family(family, n)
+            dims = zip(structure_dims(h, ghz(2)), structure_dims(h, w_state()))
+            assert [m.dims for m in cert.maps] == [(b, (2 * n + 1) * a) for a, b in dims]
+            assert sum(m.nnz() for m in cert.maps) == entries
+
+
 def _run_cli(argv, stdin_text=None):
     import contextlib
     import sys

@@ -352,14 +352,27 @@ def test_lattice_certificate_is_a_restriction(family, n):
     assert verify_restriction(direct_sum_many([source] * (2 * n + 1)), target, cert)
 
 
-def test_lattice_construction_guards_and_errors():
+def test_lattice_construction_guards_and_errors(monkeypatch):
     bad = DegenerationCertificate(
         (Matrix.identity(2).to_eps(),) * 3
     )
     with pytest.raises(CertificateError, match="degeneration certificate does not verify"):
         lattice_construction(ghz(2), w_state(), bad, "Triangular", 1)
-    with pytest.raises(StructureTooLarge, match="interpolation evaluation table"):
-        lattice_construction(ghz(2), w_state(), w_border_cert(), "Triangular", 30)
+
+    def no_build(*args):
+        raise AssertionError("the guard let a map be evaluated")
+
+    # Triangular n = 46 and Kagome n = 166 build; one step further, the
+    # vertex blocks and the evaluation table are refused before any map is
+    # evaluated.
+    monkeypatch.setattr(scalars, "_eval_table", no_build)
+    monkeypatch.setattr(preorder, "_kron_values", no_build)
+    cases = (("Triangular", 47, "vertex-map entries"), ("Kagome", 167, "interpolation evaluation table"))
+    for family, n, what in cases:
+        start = time.perf_counter()
+        with pytest.raises(StructureTooLarge, match=what):
+            lattice_construction(ghz(2), w_state(), w_border_cert(), family, n)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_lattice_construction_bounds_the_vertex_maps_before_any_kron(monkeypatch):

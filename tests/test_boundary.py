@@ -20,7 +20,7 @@ from tpl.catalog import Catalog
 from tpl.cli import main
 from tpl.hypergraph import GroupingMap, Hypergraph, make_family, slot_structure
 from tpl.matrix import Matrix
-from tpl.named import NamedTensorSpec, ghz, make_named, w_state
+from tpl.named import NamedTensorSpec, cw, ghz, make_named, mamu, w_state
 from tpl.obstructions import KoszulSpec
 from tpl.preorder import CertificateError, DegenerationCertificate, RestrictionCertificate
 from tpl.scalars import EPS, EpsPoly, QC, parse_int
@@ -322,7 +322,12 @@ def _no_product(*args):
 
 
 def test_product_builders_refuse_before_they_allocate(monkeypatch):
-    # 1001 * 1001 = 1,002,001 entries, and 2^25 for the Kronecker power.
+    # 1001 * 1001 = 1,002,001 entries, and 2^25 for the Kronecker power. The
+    # named constructors and Matrix.identity count index components.
+    named = (lambda: Matrix.identity(10**8), lambda: ghz(10**8), lambda: mamu(1000),
+             lambda: cw(DENSE_ENTRY_GUARD // 9 + 1))
+    for build in named:
+        assert "index components" in _raises_fast(build)
     big = ghz(1001)
     column = Matrix(1001, 1, {(i, 0): QC(i + 1) for i in range(1001)})
     assert "tensor product of 1001 x 1001 entries" in _raises_fast(lambda: tensor_product(big, big))
