@@ -4,10 +4,11 @@
 Two routes feed the catalog, both gated by exact rational re-verification:
 
 * search: float alternating least squares from a unit-tensor source
-  (`tpl.search.heuristic_restriction_search`), rational polishing of
-  converged runs, and a simulated-annealing sweep over half-integer factor
-  entries. The shipped Kronecker-square decomposition of the W state was
-  found by the annealing stage; reruns with the default seeds reproduce it.
+  (`heuristic_restriction_search` of `restriction_search.py`, beside this
+  script), rational polishing of converged runs, and a simulated-annealing
+  sweep over half-integer factor entries. The shipped Kronecker-square
+  decomposition of the W state was found by the annealing stage; reruns
+  with the default seeds reproduce it.
 
 * classical table: the seven bilinear products for the 2x2 matrix product
   (Strassen 1969) written down as factor vectors. The float searches here
@@ -24,10 +25,11 @@ import numpy as np
 from tpl.catalog import Catalog, CatalogEntry, decomposition_tensor, verify_entry
 from tpl.named import ghz, mamu, w_state
 from tpl.preorder import verify_restriction
-from tpl.search import heuristic_restriction_search, polish_rational_certificate
 from tpl.scalars import QC
 from tpl.tensor import kron
 from fractions import Fraction
+
+from restriction_search import heuristic_restriction_search, polish_rational_certificate
 
 
 def gauge_normalize(maps):

@@ -4,8 +4,8 @@ Alternating least squares looks for float factor maps sending t to t';
 polishing drags a numerically exact solution onto small rationals. The
 search works on numpy arrays throughout and hands back only a
 :class:`RestrictionCertificate` that :func:`verify_restriction` has checked
-exactly. Nothing in ``tpl`` imports this module, so the certificate core
-never loads numpy for it.
+exactly. It lives beside its one caller, ``derive_decompositions.py``,
+outside the ``tpl`` package, so the certificate core never loads it.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matrix import Matrix
-from .preorder import RestrictionCertificate, verify_restriction
-from .scalars import RATIONAL, QC
+from tpl.matrix import Matrix
+from tpl.preorder import RestrictionCertificate, verify_restriction
+from tpl.scalars import RATIONAL, QC
 
 # Polishing runs at these fixed settings: rationals with denominators up to
 # MAX_DENOMINATOR, masked ALS runs of at most ALS_ITERS sweeps that count as

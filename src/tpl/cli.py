@@ -22,7 +22,7 @@ from .asymptotic import disjoint_rank_bounds, strassen_rank_bounds
 from .catalog import Catalog, entry_from_json, entry_to_json
 from .hypergraph import build_structure, fold_to_fan, make_family
 from .jsonio import FormatError
-from .matrix import flatten, rank
+from .matrix import _float_rank_tol, flatten, rank
 from .named import NamedTensorSpec, make_named
 from .obstructions import (
     KoszulSpec,
@@ -180,8 +180,12 @@ def cmd_op(args):
         _write_output(jsonio.dumps_pretty(jsonio.matrix_to_json(m)), args.out)
         return 0
     elif name == "rank":
+        try:
+            tol = _float_rank_tol(args.tol)
+        except ValueError as exc:
+            raise UsageError(f"bad --tol: {exc}") from exc
         t = _read_tensor(args.tensor)
-        value = rank(_flatten_left(t, args.left or "0"), tol=args.tol)
+        value = rank(_flatten_left(t, args.left or "0"), tol=tol)
         _write_output(jsonio.dumps_compact({"rank": value}), args.out)
         return 0
     else:  # equal-pad
@@ -269,7 +273,7 @@ def cmd_bounds(args):
     t = _read_tensor(args.tensor)
     catalog = _catalog(args)
     if args.quantity == "disjoint":
-        report = disjoint_rank_bounds(t, catalog, trials=args.trials, seed=args.seed)
+        report = disjoint_rank_bounds(t, catalog)
     else:
         report = strassen_rank_bounds(t, n_max=2 if args.n is None else args.n, catalog=catalog)
     obj = report.to_json()

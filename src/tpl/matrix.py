@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 
 from . import scalars
-from .scalars import EPS, FLOAT, RATIONAL, QC, _reduced
-from .tensor import GroupingSpec, Tensor, _check_entries, _check_index_components, _tensor, apply_product_map, group, kron
+from .scalars import EPS, FLOAT, RATIONAL, QC, _check_index_components, _reduced
+from .tensor import GroupingSpec, Tensor, _check_entries, _tensor, apply_product_map, group, kron
 
 DEFAULT_FLOAT_RANK_TOL = 1e-9
 
@@ -131,12 +131,20 @@ def rank(m, tol=None):
     raise ValueError("rank is not defined for eps-domain matrices")
 
 
+def _float_rank_tol(tol):
+    """``tol``, or the default for None; ValueError unless 0 <= tol < 1 (so not NaN)."""
+    if tol is None:
+        return DEFAULT_FLOAT_RANK_TOL
+    if not 0 <= tol < 1:
+        raise ValueError(f"float rank tolerance must lie in [0, 1), got {tol!r}")
+    return tol
+
+
 def rank_float(array, tol=None):
     """Numeric rank of a dense complex array by SVD thresholding."""
     import numpy as np
 
-    if tol is None:
-        tol = DEFAULT_FLOAT_RANK_TOL
+    tol = _float_rank_tol(tol)
     a = np.asarray(array, dtype=complex)
     if a.size == 0:
         return 0

@@ -3,16 +3,16 @@
 All constructors return rational-domain tensors with entries equal to 1
 unless stated otherwise. ``unit`` is an alias for ``ghz``: the unit tensor
 of size r on k factors is the r-level GHZ state. ``ghz`` (so ``unit``,
-``epr`` and ``simple``), ``mamu`` and ``cw`` raise StructureTooLarge before
-building a tensor of over ``DENSE_ENTRY_GUARD`` index components (entries times order).
+``epr`` and ``simple``), ``mamu`` and ``cw`` raise StructureTooLarge (``scalars.check_entry_count``)
+before building a tensor of over ``DENSE_ENTRY_GUARD`` index components (entries times order).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .scalars import QC_ONE, RATIONAL, check_ints
-from .tensor import Tensor, _check_index_components
+from .scalars import QC_ONE, RATIONAL, _check_index_components, check_ints
+from .tensor import Tensor
 
 NAMES = ("GHZ", "W", "EPR", "MaMu", "CW", "Unit")
 

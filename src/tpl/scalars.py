@@ -6,8 +6,8 @@ Three domains are supported:
   (:class:`QC`); all algebra is exact.
 * ``eps`` -- polynomials in a formal degeneration parameter with ``QC``
   coefficients (:class:`EpsPoly`); used by degeneration certificates.
-* ``float`` -- ordinary Python ``complex``; used for numeric search and
-  spectrum computations.
+* ``float`` -- ordinary Python ``complex``; used for float tensors, float
+  rank and spectrum computations, never by a certificate.
 
 Every tensor or matrix carries exactly one domain and all its entries are
 values of that domain.
@@ -22,6 +22,26 @@ from fractions import Fraction
 RATIONAL = "rational"
 EPS = "eps"
 FLOAT = "float"
+
+# Largest structure, in entries, that any builder builds. The guard sits here,
+# at the bottom of the import graph, so every builder can call it (tensor re-exports it).
+DENSE_ENTRY_GUARD = 10**6
+
+
+class StructureTooLarge(ValueError):
+    """Desk-scale guard: the requested finite structure will not fit."""
+
+
+def check_entry_count(count, what):
+    """Raise StructureTooLarge when ``count``, the entries of ``what``, exceeds the guard."""
+    if count > DENSE_ENTRY_GUARD:
+        raise StructureTooLarge(f"{what} exceeds the entry guard {DENSE_ENTRY_GUARD}")
+
+
+def _check_index_components(name, entries, order):
+    """Raise StructureTooLarge when ``entries`` index tuples of length ``order`` exceed the guard."""
+    components = entries * order
+    check_entry_count(components, f"{name} of {entries} entries of order {order} ({components} index components)")
 
 
 def check_ints(values, what, error=ValueError):
@@ -241,12 +261,14 @@ def _eval_table(polys, points):
     S = sum_k D*c_k * u^(k-L) * w^(H-k), so the value is S / (D * w^H * u^-L).
     An integer point (w = 1) needs no w powers. A negative L (a Laurent
     term) needs a nonzero point, and a complex u leaves the denominator
-    through its conjugate.
+    through its conjugate. The layout (polys x slots) is guarded before it is built.
     """
     polys = list(polys)
     coeffs = [c for p in polys for c in p.coeffs.values()]
     degrees = [k for p in polys for k in p.coeffs]
     low, high = min(degrees + [0]), max(degrees + [0])
+    slots = high - low + 1
+    check_entry_count(len(polys) * slots, f"eps evaluation layout of {len(polys)} polynomials x {slots} degrees")
     lcm, scale = _common_denominator(coeffs)
     layouts = []
     for p in polys:
@@ -261,7 +283,7 @@ def _eval_table(polys, points):
         ua, ub, w = point._a, point._b, point._n
         rows = layouts
         if w != 1:
-            wpow = [w**j for j in range(high - low + 1)]
+            wpow = [w**j for j in range(slots)]
             rows = [[(a * f, b * f) for (a, b), f in zip(row, wpow)] for row in layouts]
         nums = []
         for row in rows:

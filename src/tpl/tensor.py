@@ -23,7 +23,8 @@ from collections import Counter
 from itertools import product
 
 from . import scalars
-from .scalars import EPS, FLOAT, RATIONAL, EpsPoly, _common_denominator, _eps, _qc
+from .scalars import DENSE_ENTRY_GUARD, EPS, FLOAT, RATIONAL, EpsPoly, StructureTooLarge, check_entry_count
+from .scalars import _common_denominator, _eps, _qc
 
 
 # Largest packed value, in bits, that the integer lane of apply_product_map
@@ -38,30 +39,6 @@ LANE_BITS_GUARD = 2**20
 # loop up to about 10,000 bits; folding only the trailing modes that fit
 # 2^12 bits beat both 2^13 and 2^14 on dense, sparse and eps contractions.
 PACKED_IMAGE_BITS = 2**12
-
-# Largest dense array, in entries, that ``to_numpy`` builds; lattice
-# constructions apply the same bound to the dense size of a structure.
-DENSE_ENTRY_GUARD = 10**6
-
-
-class StructureTooLarge(ValueError):
-    """Desk-scale guard: the requested finite structure will not fit."""
-
-
-def check_entry_count(count, what):
-    """Raise StructureTooLarge when ``count``, the entries of ``what``, exceeds the guard."""
-    if count > DENSE_ENTRY_GUARD:
-        raise StructureTooLarge(f"{what} exceeds the entry guard {DENSE_ENTRY_GUARD}")
-
-
-def _check_index_components(name, entries, order):
-    """Raise StructureTooLarge when ``entries`` index tuples of length ``order`` exceed the guard.
-
-    Only a refusal calls ``check_entry_count``, as ``bench/tracer.py`` spans each public call.
-    """
-    components = entries * order
-    if components > DENSE_ENTRY_GUARD:
-        check_entry_count(components, f"{name} of {entries} entries of order {order} ({components} index components)")
 
 
 def check_dense_size(shape, what="dense array"):

@@ -323,7 +323,8 @@ def _no_product(*args):
 
 def test_product_builders_refuse_before_they_allocate(monkeypatch):
     # 1001 * 1001 = 1,002,001 entries, and 2^25 for the Kronecker power. The
-    # named constructors and Matrix.identity count index components.
+    # named constructors and Matrix.identity count index components, and eps
+    # evaluation its layout: eps^(10^6) spans 10^6 + 1 degrees.
     named = (lambda: Matrix.identity(10**8), lambda: ghz(10**8), lambda: mamu(1000),
              lambda: cw(DENSE_ENTRY_GUARD // 9 + 1))
     for build in named:
@@ -333,6 +334,10 @@ def test_product_builders_refuse_before_they_allocate(monkeypatch):
     assert "tensor product of 1001 x 1001 entries" in _raises_fast(lambda: tensor_product(big, big))
     _raises_fast(lambda: kron(big, big))
     _raises_fast(lambda: column.kron(column))
+    high = EpsPoly.eps(DENSE_ENTRY_GUARD)
+    layout = "eps evaluation layout of 1 polynomials x 1000001 degrees"
+    assert layout in _raises_fast(lambda: high.eval(1))
+    assert layout in _raises_fast(lambda: Matrix(1, 1, {(0, 0): high}, EPS).eval_eps(1))
     monkeypatch.setattr("tpl.tensor.kron", _no_product)
     assert "Kronecker power 25 of 2 entries" in _raises_fast(lambda: kron_power(ghz(2), 25))
     _raises_fast(lambda: kron_power(ghz(2), 10**18))

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,7 @@ import tpl
 from tpl.named import ghz, w_state
 from tpl.preorder import verify_restriction
 from tpl.scalars import QC
-from tpl.search import (
+from restriction_search import (
     _rational_candidates,
     _try_round_all,
     heuristic_restriction_search,
@@ -106,3 +107,14 @@ def test_import_tpl_and_cli_does_not_load_search():
     check = "import sys, tpl, tpl.cli; assert 'tpl.search' not in sys.modules"
     proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_search_ships_outside_the_package():
+    assert importlib.util.find_spec("tpl.search") is None
+
+
+def test_derivation_script_starts():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "derive_decompositions.py"
+    proc = subprocess.run([sys.executable, str(script), "--help"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: ")

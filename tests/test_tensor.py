@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import util
-from tpl.matrix import Matrix, flatten, rank
+from tpl import jsonio
+from tpl.cli import main
+from tpl.matrix import Matrix, flatten, rank, rank_float
 from tpl.named import cw, epr, ghz, mamu, simple, w_state
 from tpl.scalars import FLOAT, QC
 from tpl.tensor import (
@@ -230,6 +232,30 @@ def test_numeric_rank_tolerance_override():
     m = util.matrix_from_rows([[1, 0], [0, 1e-6]], domain=FLOAT)
     assert rank(m) == 2
     assert rank(m, tol=1e-3) == 1
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), 1.0, 2.0])
+def test_numeric_rank_refuses_a_tolerance_outside_0_1(tol):
+    # A negative tol counts the zero singular values, and one of 1 or more
+    # (or NaN) counts none.
+    m = util.matrix_from_rows([[1, 0], [0, 1e-6]], domain=FLOAT)
+    with pytest.raises(ValueError, match=r"tolerance must lie in \[0, 1\)"):
+        rank(m, tol=tol)
+    with pytest.raises(ValueError, match=r"tolerance must lie in \[0, 1\)"):
+        rank_float(m.to_numpy(), tol)
+    assert (rank(m, tol=0), rank(m, tol=1e-3)) == (2, 1)
+
+
+@pytest.mark.parametrize("tol, code", [("-1", 2), ("nan", 2), ("1", 2), ("2", 2), ("0", 0), ("1e-3", 0)])
+def test_op_rank_refuses_a_tolerance_outside_0_1(capsys, tmp_path, tol, code):
+    path = tmp_path / "t.json"
+    path.write_text(jsonio.dumps_pretty(jsonio.tensor_to_json(Tensor((3, 3), {(0, 0): 1 + 0j}, FLOAT))))
+    assert main(["op", "rank", "--tensor", str(path), f"--tol={tol}"]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and err.startswith("tpl: bad --tol") and err.count("\n") == 1
+    else:
+        assert (out, err) == ('{"rank":1}\n', "")
 
 
 def test_equal_up_to_padding_cases():
