@@ -1,11 +1,12 @@
 """Command-line front end: JSON in, JSON out, deterministic.
 
-Exit codes are decided in :func:`main` alone. 0 on success (a verified
-"false" answer is still success and is printed as JSON). 1 on any typed
-error of the library, each a ``ValueError``: a failed verification, a
-corrupted certificate or catalog entry, a malformed payload or an input file
-that is not UTF-8 or nests too deeply, an operation undefined for its input,
-or a size guard.
+Each ``cmd_*`` handler returns the text it prints. :func:`main` alone
+writes that text, to stdout or ``--out``, and decides the exit code. 0 on
+success (a verified "false" answer is still success and is printed as
+JSON). 1 on any typed error of the library, each a ``ValueError``: a
+failed verification, a corrupted certificate or catalog entry, a malformed
+payload or an input file that is not UTF-8 or nests too deeply, an
+operation undefined for its input, or a size guard.
 2 on usage errors (:class:`UsageError`): a bad flag value, a missing flag,
 or a path that cannot be read or written. Factor positions on the command
 line are 0-based, matching the index arrays of the JSON formats.
@@ -20,10 +21,10 @@ from fractions import Fraction
 from . import jsonio
 from .asymptotic import disjoint_rank_bounds, strassen_rank_bounds
 from .catalog import Catalog, entry_from_json, entry_to_json
-from .hypergraph import build_structure, fold_to_fan, make_family
+from .hypergraph import FAMILIES, build_structure, fold_to_fan, make_family
 from .jsonio import FormatError
 from .matrix import _float_rank_tol, flatten, rank
-from .named import NamedTensorSpec, make_named
+from .named import NAMES, NamedTensorSpec, make_named
 from .obstructions import (
     KoszulSpec,
     ThetaWeights,
@@ -152,20 +153,27 @@ def cmd_build(args):
         raise
     except (KeyError, ValueError) as exc:
         raise UsageError(f"cannot build {args.name}: {exc}") from exc
-    _write_output(jsonio.dumps_pretty(jsonio.tensor_to_json(t)), args.out)
-    return 0
+    return jsonio.dumps_pretty(jsonio.tensor_to_json(t))
 
 
 def cmd_classify(args):
-    _write_output(classify_222(_read_tensor(args.tensor)).value + "\n", args.out)
-    return 0
+    return classify_222(_read_tensor(args.tensor)).value + "\n"
 
 
 def cmd_op(args):
     name = args.operation
-    combiners = {"direct-sum": direct_sum, "kron": kron, "tensor-product": tensor_product}
-    if name in combiners:
-        result = combiners[name](_read_tensor(args.src), _read_tensor(args.dst))
+    binary = {
+        "direct-sum": direct_sum,
+        "kron": kron,
+        "tensor-product": tensor_product,
+        "equal-pad": equal_up_to_padding,
+    }
+    if name in binary:
+        if {args.src, args.dst} <= {None, "-"}:
+            raise UsageError(f"op {name} reads at most one operand from stdin: give --src or --dst")
+        result = binary[name](_read_tensor(args.src), _read_tensor(args.dst))
+        if name == "equal-pad":
+            return jsonio.dumps_compact({"equal": result})
         if name == "tensor-product" and args.group:
             result = _group(result, args.group)
     elif name == "group":
@@ -176,25 +184,15 @@ def cmd_op(args):
         t = _read_tensor(args.tensor)
         if args.left is None:
             raise UsageError("op flatten needs --left")
-        m = _flatten_left(t, args.left)
-        _write_output(jsonio.dumps_pretty(jsonio.matrix_to_json(m)), args.out)
-        return 0
-    elif name == "rank":
+        return jsonio.dumps_pretty(jsonio.matrix_to_json(_flatten_left(t, args.left)))
+    else:  # rank
         try:
             tol = _float_rank_tol(args.tol)
         except ValueError as exc:
             raise UsageError(f"bad --tol: {exc}") from exc
         t = _read_tensor(args.tensor)
-        value = rank(_flatten_left(t, args.left or "0"), tol=tol)
-        _write_output(jsonio.dumps_compact({"rank": value}), args.out)
-        return 0
-    else:  # equal-pad
-        a = _read_tensor(args.src)
-        b = _read_tensor(args.dst)
-        _write_output(jsonio.dumps_compact({"equal": equal_up_to_padding(a, b)}), args.out)
-        return 0
-    _write_output(jsonio.dumps_pretty(jsonio.tensor_to_json(result)), args.out)
-    return 0
+        return jsonio.dumps_compact({"rank": rank(_flatten_left(t, args.left or "0"), tol=tol)})
+    return jsonio.dumps_pretty(jsonio.tensor_to_json(result))
 
 
 def cmd_cert_verify(args):
@@ -203,14 +201,11 @@ def cmd_cert_verify(args):
     cert = _read_certificate(args.cert)
     try:
         if isinstance(cert, RestrictionCertificate):
-            ok = verify_restriction(src, dst, cert)
-            _write_output(jsonio.dumps_compact({"ok": ok}), args.out)
-        else:
-            ok, d, e = verify_degeneration(src, dst, cert)
-            _write_output(jsonio.dumps_compact({"ok": ok, "d": d, "e": e}), args.out)
+            return jsonio.dumps_compact({"ok": verify_restriction(src, dst, cert)})
+        ok, d, e = verify_degeneration(src, dst, cert)
+        return jsonio.dumps_compact({"ok": ok, "d": d, "e": e})
     except CertificateError as exc:
         raise CertificateError(f"broken certificate: {exc}") from exc
-    return 0
 
 
 def cmd_cert_interpolate(args):
@@ -219,28 +214,19 @@ def cmd_cert_interpolate(args):
     cert = _read_certificate(args.cert)
     if not isinstance(cert, DegenerationCertificate):
         raise CertificateError("interpolation needs a degeneration certificate")
-    out_cert = interpolate(src, dst, cert)
-    _write_output(jsonio.dumps_pretty(jsonio.certificate_to_json(out_cert)), args.out)
-    return 0
+    return jsonio.dumps_pretty(jsonio.certificate_to_json(interpolate(src, dst, cert)))
 
 
 def cmd_decide(args):
     answer = decide_222(_read_tensor(args.src), _read_tensor(args.dst), args.mode)
-    _write_output(jsonio.dumps_compact({"mode": args.mode, "result": answer}), args.out)
-    return 0
+    return jsonio.dumps_compact({"mode": args.mode, "result": answer})
 
 
 def cmd_obstruct(args):
+    """The obstruction report; ValueError where a functional is undefined for the tensor."""
     t = _read_tensor(args.tensor)
-    gauge = gauge_points(t)
+    report = {"gauge": list(gauge_points(t))}
     theta = _parse_theta(args.theta, t.order)
-    _write_output(jsonio.dumps_pretty(_obstruct_report(t, gauge, args.p, theta)), args.out)
-    return 0
-
-
-def _obstruct_report(t, gauge, p, theta):
-    """The `tpl obstruct` report; ValueError where a functional is undefined for t."""
-    report = {"gauge": list(gauge)}
     if t.dims == (2, 2, 2) and t.domain == RATIONAL:
         det = hyperdeterminant_222(t)
         report["det222"] = {
@@ -250,7 +236,7 @@ def _obstruct_report(t, gauge, p, theta):
     else:
         report["det222"] = None
     if t.order == 3:
-        p = p if p is not None else min(1, t.dims[2] - 1)
+        p = args.p if args.p is not None else min(1, t.dims[2] - 1)
         try:
             spec = KoszulSpec(t.dims[2], p)
         except ValueError as exc:
@@ -264,7 +250,7 @@ def _obstruct_report(t, gauge, p, theta):
         "theta": [format_fraction(Fraction(w)) for w in theta.weights],
         "value": quantum_functional_point(t, theta),
     }
-    return report
+    return jsonio.dumps_pretty(report)
 
 
 def cmd_bounds(args):
@@ -277,11 +263,7 @@ def cmd_bounds(args):
     else:
         report = strassen_rank_bounds(t, n_max=2 if args.n is None else args.n, catalog=catalog)
     obj = report.to_json()
-    if args.format == "table":
-        _write_output(render_report(obj), args.out)
-    else:
-        _write_output(jsonio.dumps_pretty(obj), args.out)
-    return 0
+    return render_report(obj) if args.format == "table" else jsonio.dumps_pretty(obj)
 
 
 def cmd_hypergraph(args):
@@ -289,8 +271,7 @@ def cmd_hypergraph(args):
         gm, covering = fold_to_fan(args.family, args.n)
         obj = jsonio.grouping_map_to_json(gm)
         obj["c"] = covering
-        _write_output(jsonio.dumps_pretty(obj), args.out)
-        return 0
+        return jsonio.dumps_pretty(obj)
     try:
         h = make_family(args.family, args.n, args.k or 3)
     except StructureTooLarge:
@@ -298,23 +279,19 @@ def cmd_hypergraph(args):
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.tensor:
-        structure = build_structure(h, _read_tensor(args.tensor))
-        _write_output(jsonio.dumps_pretty(jsonio.tensor_to_json(structure)), args.out)
-        return 0
-    _write_output(jsonio.dumps_pretty(jsonio.hypergraph_to_json(h)), args.out)
-    return 0
+        return jsonio.dumps_pretty(jsonio.tensor_to_json(build_structure(h, _read_tensor(args.tensor))))
+    return jsonio.dumps_pretty(jsonio.hypergraph_to_json(h))
 
 
 def cmd_catalog(args):
     catalog = _catalog(args)
     if args.action == "list":
-        _write_output(jsonio.dumps_pretty({"entries": catalog.ids()}), args.out)
-    elif args.action == "get":
+        return jsonio.dumps_pretty({"entries": catalog.ids()})
+    if args.action == "get":
         if not args.id:
             raise UsageError("catalog get needs --id")
-        entry = catalog.get(args.id)
-        _write_output(jsonio.dumps_pretty(entry_to_json(entry)), args.out)
-    elif args.action == "put":
+        return jsonio.dumps_pretty(entry_to_json(catalog.get(args.id)))
+    if args.action == "put":
         if not args.file:
             raise UsageError("catalog put needs --file")
         entry = entry_from_json(_read_json_input(args.file))
@@ -322,11 +299,8 @@ def cmd_catalog(args):
             catalog.put(entry)
         except OSError as exc:
             raise UsageError(f"cannot write {catalog.path}: {exc.strerror}") from exc
-        _write_output(jsonio.dumps_compact({"stored": entry.id}), args.out)
-    else:  # verify
-        entries = catalog.load_all()
-        _write_output(jsonio.dumps_compact({"ok": True, "entries": len(entries)}), args.out)
-    return 0
+        return jsonio.dumps_compact({"stored": entry.id})
+    return jsonio.dumps_compact({"ok": True, "entries": len(catalog.load_all())})  # verify
 
 
 def render_report(obj):
@@ -363,24 +337,22 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common_io(p):
-        p.add_argument("--out", default=None, help="output path (default stdout)")
+    def command(name, handler, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("build", help="construct a named tensor")
-    p.add_argument("--name", required=True, choices=["GHZ", "W", "EPR", "MaMu", "CW", "Unit"])
+    p = command("build", cmd_build, "construct a named tensor")
+    p.add_argument("--name", required=True, choices=NAMES)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--q", type=int, default=None)
-    common_io(p)
-    p.set_defaults(handler=cmd_build)
 
-    p = sub.add_parser("classify", help="SLOCC orbit of a 2x2x2 tensor")
+    p = command("classify", cmd_classify, "SLOCC orbit of a 2x2x2 tensor")
     p.add_argument("--tensor", default=None, help="tensor JSON path (default stdin)")
-    common_io(p)
-    p.set_defaults(handler=cmd_classify)
 
-    p = sub.add_parser("op", help="tensor algebra operations")
+    p = command("op", cmd_op, "tensor algebra operations")
     p.add_argument(
         "operation",
         choices=["direct-sum", "kron", "tensor-product", "group", "flatten", "rank", "equal-pad"],
@@ -391,40 +363,30 @@ def build_parser():
     p.add_argument("--group", default=None, help="blocks like '0,3|1,4|2,5' (0-based)")
     p.add_argument("--left", default=None, help="left factor positions like '0,2' (0-based)")
     p.add_argument("--tol", type=float, default=None, help="float rank tolerance")
-    common_io(p)
-    p.set_defaults(handler=cmd_op)
 
-    p = sub.add_parser("cert-verify", help="verify a restriction or degeneration certificate")
+    p = command("cert-verify", cmd_cert_verify, "verify a restriction or degeneration certificate")
     p.add_argument("--src", required=True)
     p.add_argument("--dst", required=True)
     p.add_argument("--cert", required=True)
-    common_io(p)
-    p.set_defaults(handler=cmd_cert_verify)
 
-    p = sub.add_parser("cert-interpolate", help="degeneration -> direct-sum restriction")
+    p = command("cert-interpolate", cmd_cert_interpolate, "degeneration -> direct-sum restriction")
     p.add_argument("--src", required=True)
     p.add_argument("--dst", required=True)
     p.add_argument("--cert", required=True)
-    common_io(p)
-    p.set_defaults(handler=cmd_cert_interpolate)
 
-    p = sub.add_parser("decide", help="exact 2x2x2 conversion decision")
+    p = command("decide", cmd_decide, "exact 2x2x2 conversion decision")
     p.add_argument("--src", required=True)
     p.add_argument("--dst", required=True)
     p.add_argument("--mode", choices=["restriction", "degeneration"], default="restriction")
-    common_io(p)
-    p.set_defaults(handler=cmd_decide)
 
-    p = sub.add_parser("obstruct", help="obstruction functional report")
+    p = command("obstruct", cmd_obstruct, "obstruction functional report")
     p.add_argument("--tensor", default=None)
     p.add_argument("--p", type=int, default=None, help="Koszul wedge parameter (default 1, or 0 when d3 = 1)")
     p.add_argument("--theta", default=None, help="weights like '1/3,1/3,1/3'")
     p.add_argument("--trials", type=int, default=16, help=NO_EFFECT)
     p.add_argument("--seed", type=int, default=0, help=NO_EFFECT)
-    common_io(p)
-    p.set_defaults(handler=cmd_obstruct)
 
-    p = sub.add_parser("bounds", help="asymptotic rank bound report")
+    p = command("bounds", cmd_bounds, "asymptotic rank bound report")
     p.add_argument("quantity", choices=["disjoint", "strassen"])
     p.add_argument("--tensor", default=None)
     p.add_argument("--catalog", default=None)
@@ -432,33 +394,30 @@ def build_parser():
     p.add_argument("--trials", type=int, default=16, help=NO_EFFECT)
     p.add_argument("--seed", type=int, default=0, help=NO_EFFECT)
     p.add_argument("--format", choices=["json", "table"], default="json")
-    common_io(p)
-    p.set_defaults(handler=cmd_bounds)
 
-    p = sub.add_parser("hypergraph", help="family patches, structures, fan folding")
-    p.add_argument("--family", required=True, choices=["Disjoint", "Strassen", "Triangular", "Kagome", "Fan"])
+    p = command("hypergraph", cmd_hypergraph, "family patches, structures, fan folding")
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--tensor", default=None, help="edge tensor: emit the structure tensor")
     p.add_argument("--fold-fan", action="store_true", help="emit the fan folding map and covering")
-    common_io(p)
-    p.set_defaults(handler=cmd_hypergraph)
 
-    p = sub.add_parser("catalog", help="inspect and maintain a catalog directory")
+    p = command("catalog", cmd_catalog, "inspect and maintain a catalog directory")
     p.add_argument("action", choices=["list", "get", "put", "verify"])
     p.add_argument("--catalog", default=None)
     p.add_argument("--id", default=None)
     p.add_argument("--file", default=None)
-    common_io(p)
-    p.set_defaults(handler=cmd_catalog)
 
+    for p in sub.choices.values():  # last, so each --help lists --out last
+        p.add_argument("--out", default=None, help="output path (default stdout)")
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        _write_output(args.handler(args), args.out)
+        return 0
     except UsageError as exc:
         print(f"tpl: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -263,10 +263,15 @@ def kron_power(t, n):
     # nnz^n stays 0 or 1, or passes the guard within its bit length of factors.
     cap = min(n, DENSE_ENTRY_GUARD.bit_length())
     check_entry_count(t.nnz() ** cap, f"Kronecker power {n} of {t.nnz()} entries")
-    acc = t
-    for _ in range(n - 1):
-        acc = kron(acc, t)
-    return acc
+    # Square and multiply: O(log n) krons, exact since kron is associative.
+    acc = None
+    while True:
+        if n & 1:
+            acc = t if acc is None else kron(acc, t)
+        n >>= 1
+        if not n:
+            return acc
+        t = kron(t, t)
 
 
 def permute_factors(t, perm):

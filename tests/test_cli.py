@@ -4,6 +4,7 @@ import time
 from pathlib import Path
 
 import pytest
+from test_api import SUBCOMMANDS
 from test_preorder import w_border_cert_with_tail
 
 from tpl import jsonio
@@ -667,3 +668,44 @@ def test_tensors_of_order_below_two_exit_one(capsys, tmp_path, order, argv):
     code, out, err = run(capsys, [*argv, "--tensor", _tensor_file(tmp_path, "t.json", t)])
     assert (code, out) == (1, "")
     assert err == f"tpl: gauge points need a tensor of order at least 2, got order {order}\n"
+
+
+@pytest.mark.parametrize("operation", ["kron", "direct-sum", "tensor-product", "equal-pad"])
+def test_op_reads_at_most_one_operand_from_stdin(capsys, monkeypatch, w_path, operation):
+    stdin = io.StringIO(jsonio.dumps_pretty(jsonio.tensor_to_json(w_state())))
+    monkeypatch.setattr("sys.stdin", stdin)
+    for stdin_flags in ([], ["--src", "-", "--dst", "-"]):
+        code, out, err = run(capsys, ["op", operation, *stdin_flags])
+        assert (code, out) == (2, "")
+        assert err.startswith("tpl: op ") and err.count("\n") == 1
+        assert stdin.tell() == 0  # refused before stdin is read
+    for flag in ("--src", "--dst"):
+        stdin.seek(0)
+        code, out, _ = run(capsys, ["op", operation, flag, w_path])
+        assert code == 0 and out
+
+
+# One valid command line per subcommand; "{w}", "{ghz2}" and "{cert}" name fixture files.
+OUT_PARITY = {
+    "build": ["build", "--name", "W"],
+    "classify": ["classify", "--tensor", "{w}"],
+    "op": ["op", "kron", "--src", "{w}", "--dst", "{w}"],
+    "cert-verify": ["cert-verify", "--src", "{ghz2}", "--dst", "{w}", "--cert", "{cert}"],
+    "cert-interpolate": ["cert-interpolate", "--src", "{ghz2}", "--dst", "{w}", "--cert", "{cert}"],
+    "decide": ["decide", "--src", "{ghz2}", "--dst", "{w}", "--mode", "degeneration"],
+    "obstruct": ["obstruct", "--tensor", "{w}"],
+    "bounds": ["bounds", "disjoint", "--tensor", "{w}", "--format", "table"],
+    "hypergraph": ["hypergraph", "--family", "Triangular", "--n", "12", "--fold-fan"],
+    "catalog": ["catalog", "list"],
+}
+
+
+@pytest.mark.parametrize("verb", SUBCOMMANDS)
+def test_out_gets_the_bytes_stdout_gets(capsys, tmp_path, w_path, ghz2_path, border_cert_path, verb):
+    paths = {"w": w_path, "ghz2": ghz2_path, "cert": border_cert_path}
+    argv = [arg.format(**paths) for arg in OUT_PARITY[verb]]
+    code, printed, _ = run(capsys, argv)
+    assert code == 0 and printed
+    out = tmp_path / "out.txt"
+    assert run(capsys, [*argv, "--out", str(out)]) == (0, "", "")
+    assert out.read_bytes() == printed.encode("utf-8")

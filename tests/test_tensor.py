@@ -1,7 +1,8 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -80,6 +81,23 @@ def test_kron_power_counts_factors():
     assert kron_power(ghz(2), 3) == ghz(8)
     with pytest.raises(ValueError, match="n >= 1"):
         kron_power(ghz(2), 0)
+
+
+def test_kron_power_squares_and_equals_the_left_fold():
+    start = time.perf_counter()
+    assert kron_power(ghz(1), 10**9) == ghz(1)
+    assert time.perf_counter() - start < 1.0
+    rng = random.Random(24)
+    for order, nnz, _ in product((1, 2, 3), (0, 1, 2, 3), range(3)):
+        dims = tuple(rng.randint(1, 3) for _ in range(order))
+        cells = list(product(*(range(d) for d in dims)))
+        picked = rng.sample(cells, min(nnz, len(cells)))
+        values = [QC(Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2])), rng.randint(-1, 1)) for _ in picked]
+        t = Tensor(dims, dict(zip(picked, values)))
+        fold = t
+        for n in range(1, 8):
+            assert kron_power(t, n) == fold, (dims, picked, n)
+            fold = kron(fold, t)
 
 
 def test_w_plus_w_flattening_ranks():
