@@ -14,9 +14,9 @@ from fractions import Fraction
 
 from .catalog import Catalog
 from .hypergraph import make_family, structure_dims
-from .matrix import rank
+from .matrix import flatten, rank
 from .named import mamu
-from .obstructions import KoszulSpec, flattening_ratio, gauge_points, koszul_flatten, _koszul_size_error
+from .obstructions import KoszulSpec, flattening_ratio, koszul_flatten, _check_gauge_order, _koszul_size_error
 from .preorder import CertificateError, _interpolation_certificate, verify_degeneration
 from .scalars import RATIONAL
 from .tensor import StructureTooLarge, equal_up_to_padding, kron, strip_padding
@@ -24,9 +24,45 @@ from .tensor import StructureTooLarge, equal_up_to_padding, kron, strip_padding
 MATRIX_SIDE_GUARD = 10**5
 
 
+@dataclass(frozen=True, eq=False)
+class Root:
+    """The exact real number ``radicand`` ** (1 / ``index``), for ints radicand >= 0 and index >= 1.
+
+    Comparisons are exact: r^(1/n) against a rational p/q >= 0 compares
+    r * q^n with p^n, and r^(1/n) against s^(1/m) compares r^m with s^n.
+    Its float is ``float(radicand) ** (1.0 / index)``.
+    """
+
+    radicand: int
+    index: int
+
+    def __float__(self):
+        return float(self.radicand) ** (1.0 / self.index)
+
+    def _sign(self, other):
+        """The sign of self - other, for a Root or a rational other."""
+        if isinstance(other, Root):
+            a, b = self.radicand**other.index, other.radicand**self.index
+        else:
+            other = Fraction(other)
+            if other < 0:
+                return 1
+            a, b = self.radicand * other.denominator**self.index, other.numerator**self.index
+        return (a > b) - (a < b)
+
+    def __eq__(self, other):
+        return self._sign(other) == 0
+
+    def __lt__(self, other):
+        return self._sign(other) < 0
+
+    def __gt__(self, other):
+        return self._sign(other) > 0
+
+
 @dataclass(frozen=True)
 class Bound:
-    value: object  # Fraction for exact bounds, float otherwise
+    value: object  # a Fraction, or a Root for the root of a Kronecker-power rank
     witness: str
     ref: dict = field(default_factory=dict)
 
@@ -34,18 +70,12 @@ class Bound:
         return float(self.value)
 
     def exceeds(self, other):
-        """True iff this bound's value is above ``other``'s.
-
-        Exact when both values are Fractions; otherwise the floats are
-        compared with a 1e-12 slack.
-        """
-        if isinstance(self.value, Fraction) and isinstance(other.value, Fraction):
-            return self.value > other.value
-        return self.as_float() > other.as_float() + 1e-12
+        """True iff this bound's value is above ``other``'s, compared exactly."""
+        return self.value > other.value
 
     def to_json(self):
         value = self.value
-        out = {"value": str(value) if isinstance(value, Fraction) else value}
+        out = {"value": str(value) if isinstance(value, Fraction) else float(value)}
         out["witness"] = self.witness
         if self.ref:
             out["ref"] = self.ref
@@ -89,33 +119,41 @@ def unit_size(t):
     return None
 
 
-def _flattening_lower_bounds(t):
-    """Gauge points first, then configured Koszul ratios (order 3 only)."""
-    candidates = []
-    for j, r in enumerate(gauge_points(t)):
-        candidates.append(Bound(Fraction(r), "gauge point", {"kind": "gauge", "factor": j}))
-    if t.order == 3:
-        d3 = t.dims[2]
-        for p in range(1, d3):
-            spec = KoszulSpec(d3, p)
-            if t.dims[0] * spec.out_rows > MATRIX_SIDE_GUARD or _koszul_size_error(t, spec):
-                continue
-            ratio = flattening_ratio(t, spec)
-            candidates.append(
-                Bound(
-                    ratio,
-                    f"koszul flattening ratio (d3={d3}, p={p})",
-                    {"kind": "koszul", "d3": d3, "p": p, "ratio": str(ratio)},
-                )
-            )
-    return candidates
+def _best_lower(t, koszul=True):
+    """The first best flattening lower bound of t, ranking only candidates that can still raise it.
 
-
-def _best_lower(candidates):
+    The candidates, in order: gauge point j = 0..k-1, then, with ``koszul``
+    and t of order 3, the Koszul ratio at p = 1..d3-1 for each level the
+    size guards admit. A candidate's value is at most its ceiling,
+    min(rows, cols) of its matrix over its denominator: min(d_j, the
+    product of the other dims) for gauge j, and
+    min(d1 C(d3, p+1), d2 C(d3, p)) / C(d3-1, p) for Koszul p. A candidate
+    is ranked only when its ceiling is strictly above the best so far, and
+    it replaces the best only when its value is strictly above it. So the
+    first of equal candidates wins, and a skipped one could not have.
+    """
+    _check_gauge_order(t)
+    size = math.prod(t.dims)
     best = None
-    for c in candidates:
-        if best is None or c.exceeds(best):
-            best = c
+    for j, d in enumerate(t.dims):
+        if best is None or min(d, size // d) > best.value:
+            value = Fraction(rank(flatten(t, {j})))
+            if best is None or value > best.value:
+                best = Bound(value, "gauge point", {"kind": "gauge", "factor": j})
+    if not koszul or t.order != 3:
+        return best
+    d1, d2, d3 = t.dims
+    for p in range(1, d3):
+        spec = KoszulSpec(d3, p)
+        rows, cols = d1 * spec.out_rows, d2 * spec.out_cols
+        if Fraction(min(rows, cols), math.comb(d3 - 1, p)) <= best.value:
+            continue
+        if rows > MATRIX_SIDE_GUARD or _koszul_size_error(t, spec):
+            continue
+        ratio = flattening_ratio(t, spec)
+        if ratio > best.value:
+            ref = {"kind": "koszul", "d3": d3, "p": p, "ratio": str(ratio)}
+            best = Bound(ratio, f"koszul flattening ratio (d3={d3}, p={p})", ref)
     return best
 
 
@@ -123,14 +161,18 @@ def disjoint_rank_bounds(t, catalog=None, trials=16, seed=0):
     """Bounds on the disjoint asymptotic rank.
 
     Lower: the best of the gauge points and Koszul flattening ratios (both
-    multiplicative under the disjoint product). Upper: border-rank witnesses,
+    multiplicative under the disjoint product), gauge points 0..k-1 first,
+    then Koszul levels p = 1..d3-1, and of equal values the first one wins.
+    A candidate is ranked only when its ceiling, min(rows, cols) of its
+    matrix over its denominator, is strictly above the best so far (see
+    :func:`_best_lower`). Upper: border-rank witnesses,
     i.e. the smallest unit-tensor source among verified degeneration
     certificates (and exact decompositions) in the catalog targeting t, or r
     when t itself is a unit tensor. ``trials`` and ``seed`` are accepted and
     have no effect: the Koszul ratio denominators are closed values.
     """
     catalog = catalog or Catalog.default()
-    lower = _best_lower(_flattening_lower_bounds(t))
+    lower = _best_lower(t)
     upper_candidates = []
     r = unit_size(t)
     if r is not None:
@@ -169,17 +211,16 @@ def strassen_rank_bounds(t, n_max=2, catalog=None):
     """Bounds on the Kronecker-power asymptotic rank.
 
     Lower: the largest gauge point (flattening ranks are multiplicative under
-    the Kronecker product and monotone under restriction). Upper: n-th roots
-    of verified catalog decompositions of the n-th Kronecker powers. The
+    the Kronecker product and monotone under restriction), the first one of
+    equal values; a gauge point is ranked only when min(d_j, the product of
+    the other dims) is above the best so far. Upper: n-th roots of verified
+    catalog decompositions of the n-th Kronecker powers, held as exact
+    :class:`Root` values and compared exactly. The
     powers stop early once nnz(t)^n, the entry count of the n-th power of
     an exact tensor, exceeds that of every decomposed catalog tensor.
     """
     catalog = catalog or Catalog.default()
-    gauges = gauge_points(t)
-    best_j = max(range(len(gauges)), key=lambda j: gauges[j])
-    lower = Bound(
-        Fraction(gauges[best_j]), "gauge point", {"kind": "gauge", "factor": best_j}
-    )
+    lower = _best_lower(t, koszul=False)
     table = []
     upper = None
     r = unit_size(t)
@@ -198,7 +239,7 @@ def strassen_rank_bounds(t, n_max=2, catalog=None):
             if not equal_up_to_padding(entry.tensor, power):
                 continue
             terms = len(entry.decomposition)
-            value = Fraction(terms) if n == 1 else float(terms) ** (1.0 / n)
+            value = Fraction(terms) if n == 1 else Root(terms, n)
             table.append({"n": n, "terms": terms, "bound": float(value), "id": entry.id})
             cand = Bound(
                 value,

@@ -18,10 +18,14 @@ from .scalars import EPS, RATIONAL, QC
 from .tensor import DENSE_ENTRY_GUARD, StructureTooLarge, _tensor
 
 
-def gauge_points(t):
-    """Flattening rank of each single factor against the rest (order at least 2)."""
+def _check_gauge_order(t):
     if t.order < 2:
         raise ValueError(f"gauge points need a tensor of order at least 2, got order {t.order}")
+
+
+def gauge_points(t):
+    """Flattening rank of each single factor against the rest (order at least 2)."""
+    _check_gauge_order(t)
     return tuple(rank(flatten(t, {j})) for j in range(t.order))
 
 

@@ -12,6 +12,7 @@ from test_preorder import w_border_cert_with_tail
 from tpl.asymptotic import (
     Bound,
     BoundReport,
+    Root,
     StructureTooLarge,
     _best_lower,
     disjoint_rank_bounds,
@@ -52,19 +53,35 @@ def test_bound_report_orders_bounds():
 
 
 def test_bound_report_compares_exact_bounds_exactly():
-    # 1 + 10^-13 is within the float slack of 1, but exact bounds must not be.
+    # 1 + 10^-13 is within a 1e-12 float slack of 1, but exact bounds must not be.
     with pytest.raises(ValueError):
         BoundReport("x", lower=Bound(Fraction(10**13 + 1, 10**13), "a"), upper=Bound(Fraction(1), "b"))
     BoundReport("x", lower=Bound(Fraction(1), "a"), upper=Bound(Fraction(1), "b"))
-    BoundReport("x", lower=Bound(1.0 + 1e-13, "a"), upper=Bound(Fraction(1), "b"))
+    # The float of 7^(1/2) lies just above it, and the float before that just below.
+    with pytest.raises(ValueError):
+        BoundReport("x", lower=Bound(Fraction(math.sqrt(7)), "a"), upper=Bound(Root(7, 2), "b"))
+    BoundReport("x", lower=Bound(Fraction(math.nextafter(math.sqrt(7), 0)), "a"), upper=Bound(Root(7, 2), "b"))
+    # The float of 1000^(1/3) is 9.999999999999998; the root itself is 10.
+    BoundReport("x", lower=Bound(Fraction(10), "a"), upper=Bound(Root(1000, 3), "b"))
 
 
 def test_best_lower_compares_exact_bounds_exactly():
-    # 1 + 10^-13 is within the float slack of 1; the exact comparison still sees it.
+    # 1 + 10^-13 is within a 1e-12 float slack of 1; the exact comparison still sees it.
     one, above = Bound(Fraction(1), "a"), Bound(Fraction(10**13 + 1, 10**13), "b")
-    assert _best_lower([one, above]) is above
-    assert _best_lower([above, one]) is above
-    assert _best_lower([Bound(1.0, "c"), Bound(1.0 + 1e-13, "d")]).witness == "c"
+    assert above.exceeds(one) and not one.exceeds(above)
+    # Koszul 16/3 beats gauge 4 on mamu(2); on a base-changed GHZ_3 the Koszul
+    # ratio 6/2 ties gauge point 0, which comes first and stays.
+    assert _best_lower(mamu(2)).ref == {"kind": "koszul", "d3": 4, "p": 1, "ratio": "16/3"}
+    rng = random.Random(4)
+    moved_ghz = apply_product_map([util.random_invertible(rng, 3) for _ in range(3)], ghz(3))
+    assert _best_lower(moved_ghz) == Bound(Fraction(3), "gauge point", {"kind": "gauge", "factor": 0})
+    # Roots: sqrt(7) against its float neighbours, and against other roots.
+    root7 = Bound(Root(7, 2), "c")
+    assert Bound(Fraction(math.sqrt(7)), "d").exceeds(root7)
+    assert root7.exceeds(Bound(Fraction(math.nextafter(math.sqrt(7), 0)), "d"))
+    assert root7.exceeds(Bound(Root(18, 3), "e"))  # 7^3 = 343 > 18^2 = 324
+    assert not Bound(Root(1000, 3), "f").exceeds(Bound(Root(100, 2), "g"))
+    assert not Bound(Root(100, 2), "g").exceeds(Bound(Root(1000, 3), "f"))
 
 
 def test_disjoint_bounds_w():
