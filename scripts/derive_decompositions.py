@@ -1,72 +1,30 @@
 #!/usr/bin/env python3
 """Derive and store the rank-7 decompositions shipped in the packaged catalog.
 
-Two routes feed the catalog, both gated by exact rational re-verification:
+Each entry has one route, and ``Catalog.put`` verifies it exactly before
+writing it:
 
-* search: float alternating least squares from a unit-tensor source
-  (`heuristic_restriction_search` of `restriction_search.py`, beside this
-  script), rational polishing of converged runs, and a simulated-annealing
-  sweep over half-integer factor entries. The shipped Kronecker-square
-  decomposition of the W state was found by the annealing stage; reruns
-  with the default seeds reproduce it.
+* w-kron2-rank7: a seeded simulated-annealing search over half-integer
+  factor entries for the Kronecker square of the W state, accepted only
+  when the rounded terms sum to the tensor exactly. From base seed 0,
+  restart 60 is the first to succeed.
 
-* classical table: the seven bilinear products for the 2x2 matrix product
-  (Strassen 1969) written down as factor vectors. The float searches here
-  converge readily but rarely land on rational points for this tensor, so
-  the catalog ships the classical construction, exactly verified like
-  everything else.
+* strassen-mamu2-rank7: the seven bilinear products of the classical 2x2
+  matrix product (Strassen 1969) written down as factor vectors.
+
+Rerunning the script rewrites both files byte for byte.
 """
 
 import argparse
 import sys
+from fractions import Fraction
 
 import numpy as np
 
-from tpl.catalog import Catalog, CatalogEntry, decomposition_tensor, verify_entry
-from tpl.named import ghz, mamu, w_state
-from tpl.preorder import verify_restriction
+from tpl.catalog import Catalog, CatalogEntry, decomposition_tensor
+from tpl.named import mamu, w_state
 from tpl.scalars import QC
 from tpl.tensor import kron
-from fractions import Fraction
-
-from restriction_search import heuristic_restriction_search, polish_rational_certificate
-
-
-def gauge_normalize(maps):
-    a, b, c = (m.copy() for m in maps)
-    for r in range(a.shape[1]):
-        for m_scale in (a, b):
-            s = m_scale[:, r][np.argmax(np.abs(m_scale[:, r]))]
-            if abs(s) > 1e-9:
-                m_scale[:, r] /= s
-                c[:, r] *= s
-    return [a, b, c]
-
-
-def als_attempt(target, rank_terms, seeds, iterations=3000):
-    source = ghz(rank_terms)
-    for seed in seeds:
-        maps, residual = heuristic_restriction_search(
-            source, target, iterations=iterations, tol=1e-26, restarts=1, seed=seed
-        )
-        if residual > 1e-18:
-            continue
-        arrays = gauge_normalize(maps)
-        cert = polish_rational_certificate(source, target, arrays)
-        if cert is None:
-            print(f"  als seed {seed}: converged but did not rationalize")
-            continue
-        assert verify_restriction(source, target, cert)
-        print(f"  als seed {seed}: exact rational decomposition")
-        return _cert_to_terms(cert, rank_terms)
-    return None
-
-
-def _cert_to_terms(cert, rank_terms):
-    terms = []
-    for r in range(rank_terms):
-        terms.append([[m.get(i, r) for i in range(m.rows)] for m in cert.maps])
-    return terms
 
 
 def anneal_once(t_np, rank_terms, rng, values, sweeps, t_hot=1.2, t_cold=0.01):
@@ -134,11 +92,6 @@ def classical_mamu2_terms():
     coefficients because the tensor's last factor carries (i3, i1).
     """
 
-    def basis(i, j):
-        m = [[0, 0], [0, 0]]
-        m[i][j] = 1
-        return m
-
     def combo(*spots):
         m = [[0, 0], [0, 0]]
         for (i, j), coeff in spots:
@@ -181,25 +134,11 @@ def classical_mamu2_terms():
     return terms
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--catalog", default="src/tpl/data/catalog")
-    parser.add_argument("--als-seeds", type=int, default=12)
-    parser.add_argument("--anneal-restarts", type=int, default=400)
-    args = parser.parse_args()
-    catalog = Catalog(args.catalog)
-
-    print("deriving w-kron2-rank7 ...")
-    wkw = kron(w_state(), w_state())
-    terms = als_attempt(wkw, 7, range(args.als_seeds))
-    if terms is None:
-        terms = anneal_search(wkw, 7, base_seed=0, restarts=args.anneal_restarts)
-    if terms is None:
-        print("  FAILED")
-        return 1
-    entry = CatalogEntry(
+def w_kron2_entry(terms):
+    """The w-kron2-rank7 entry with the annealed ``terms`` of W (x) W."""
+    return CatalogEntry(
         id="w-kron2-rank7",
-        tensor=wkw,
+        tensor=kron(w_state(), w_state()),
         decomposition=terms,
         metadata={
             "rank_upper_bound": 7,
@@ -208,32 +147,36 @@ def main():
             "(Yu, Chitambar, Duan, Ying 2010)",
         },
     )
-    verify_entry(entry)
-    catalog.put(entry)
-    print("  stored w-kron2-rank7")
 
-    print("deriving strassen-mamu2-rank7 ...")
-    tensor = mamu(2)
-    terms = als_attempt(tensor, 7, range(args.als_seeds))
-    provenance = (
-        "derived by the in-repo ALS search with rational polishing and verified exactly"
-    )
-    if terms is None:
-        terms = classical_mamu2_terms()
-        provenance = (
-            "classical seven-product construction (Strassen 1969) entered as data "
-            "and verified exactly; float searches converge numerically but rarely "
-            "rationalize for this tensor"
-        )
-    entry = CatalogEntry(
+
+def mamu2_entry():
+    """The strassen-mamu2-rank7 entry from the classical seven products."""
+    return CatalogEntry(
         id="strassen-mamu2-rank7",
-        tensor=tensor,
-        decomposition=terms,
-        metadata={"rank_upper_bound": 7, "provenance": provenance},
+        tensor=mamu(2),
+        decomposition=classical_mamu2_terms(),
+        metadata={
+            "rank_upper_bound": 7,
+            "provenance": "classical seven-product construction (Strassen 1969) entered as data "
+            "and verified exactly; float searches converge numerically but rarely "
+            "rationalize for this tensor",
+        },
     )
-    verify_entry(entry)
-    catalog.put(entry)
-    print("  stored strassen-mamu2-rank7")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--catalog", default="src/tpl/data/catalog")
+    catalog = Catalog(parser.parse_args().catalog)
+
+    print("deriving w-kron2-rank7 ...")
+    terms = anneal_search(kron(w_state(), w_state()), 7)
+    if terms is None:
+        print("  FAILED")
+        return 1
+    for entry in (w_kron2_entry(terms), mamu2_entry()):
+        catalog.put(entry)
+        print(f"  stored {entry.id}")
     return 0
 
 

@@ -292,6 +292,12 @@ def _edge_tensors(h, assignment):
     return tensors
 
 
+def _unit(tensors):
+    """The order-0 unit <1> in the domain of ``tensors``, rational when there are none."""
+    domain = tensors[0].domain if tensors else RATIONAL
+    return Tensor((), {(): scalars.one(domain)}, domain)
+
+
 def build_structure(h, assignment):
     """Structure tensor of order |V|: edge tensors merged vertex by vertex.
 
@@ -303,16 +309,14 @@ def build_structure(h, assignment):
     ``DENSE_ENTRY_GUARD``.
     """
     tensors = _edge_tensors(h, assignment)
-    domain = tensors[0].domain if tensors else RATIONAL
-    one = scalars.one(domain)
+    unit = _unit(tensors)
     blocks = _slot_blocks(h.edges, h.vertex_slots())
     order = sum(len(e) for e in h.edges)
     for v, block in enumerate(blocks):
         if not block:
             blocks[v] = (order,)
             order += 1
-            tensors.append(Tensor((1,), {(0,): one}, domain))
-    unit = Tensor((), {(): one}, domain)
+            tensors.append(Tensor((1,), {(0,): unit.entries[()]}, unit.domain))
     return group(reduce(tensor_product, tensors, unit), GroupingSpec(blocks))
 
 
@@ -321,14 +325,15 @@ def slot_structure(h, assignment):
 
     Returns ``(tensor, vertex_grouping)`` where grouping the slot tensor by
     ``vertex_grouping`` reproduces :func:`build_structure` exactly. Requires
-    every vertex to be incident to at least one edge; the entry guard of
+    every vertex to be incident to at least one edge; with no vertices and no
+    edges the slot tensor is the unit <1>. The entry guard of
     :func:`build_structure` applies.
     """
     tensors = _edge_tensors(h, assignment)
     blocks = _slot_blocks(h.edges, h.vertex_slots())
     if not all(blocks):
         raise ValueError("slot_structure needs every vertex on some edge")
-    return reduce(tensor_product, tensors), GroupingSpec(blocks)
+    return reduce(tensor_product, tensors, _unit(tensors)), GroupingSpec(blocks)
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,10 @@ def gauge_points(t):
 def hyperdeterminant_222(t):
     """Cayley's degree-4 hyperdeterminant of a 2x2x2 tensor, exactly.
 
-    Vanishes on the W orbit closure and is nonzero on GHZ; under factor maps
-    it scales by the squared product of the determinants.
+    The discriminant b^2 - 4ac of det(A_0 + x A_1) = a x^2 + b x + c, where
+    A_k is the slice t[:, :, k]. Vanishes on the W orbit closure and is
+    nonzero on GHZ; under factor maps it scales by the squared product of
+    the determinants.
     """
     if t.dims != (2, 2, 2):
         raise ValueError(f"hyperdeterminant needs dims (2,2,2), got {t.dims}")
@@ -43,24 +45,14 @@ def hyperdeterminant_222(t):
     def e(i, j, k):
         return t.entries.get((i, j, k), scalars.QC_ZERO)
 
-    t000, t001, t010, t011 = e(0, 0, 0), e(0, 0, 1), e(0, 1, 0), e(0, 1, 1)
-    t100, t101, t110, t111 = e(1, 0, 0), e(1, 0, 1), e(1, 1, 0), e(1, 1, 1)
-    sq = (
-        t000 * t000 * t111 * t111
-        + t001 * t001 * t110 * t110
-        + t010 * t010 * t101 * t101
-        + t100 * t100 * t011 * t011
+    def det(k):
+        return e(0, 0, k) * e(1, 1, k) - e(0, 1, k) * e(1, 0, k)
+
+    b = (
+        e(0, 0, 0) * e(1, 1, 1) + e(0, 0, 1) * e(1, 1, 0)
+        - e(0, 1, 0) * e(1, 0, 1) - e(0, 1, 1) * e(1, 0, 0)
     )
-    pairs = (
-        t000 * t001 * t110 * t111
-        + t000 * t010 * t101 * t111
-        + t000 * t011 * t100 * t111
-        + t001 * t010 * t101 * t110
-        + t001 * t011 * t110 * t100
-        + t010 * t011 * t101 * t100
-    )
-    quads = t000 * t011 * t101 * t110 + t001 * t010 * t100 * t111
-    return sq - QC(2) * pairs + QC(4) * quads
+    return b * b - QC(4) * det(0) * det(1)
 
 
 @dataclass(frozen=True)

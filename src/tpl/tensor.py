@@ -260,6 +260,9 @@ def kron_power(t, n):
     scalars.check_ints((n,), "kron_power n")
     if n < 1:
         raise ValueError("kron_power needs n >= 1")
+    # Each dimension d of the power is d^n, whose indices need n times the bits of d - 1.
+    bits = n * (max(t.dims, default=1) - 1).bit_length()
+    check_entry_count(bits, f"Kronecker power {n} of dims {t.dims} ({bits} index bits)")
     # nnz^n stays 0 or 1, or passes the guard within its bit length of factors.
     cap = min(n, DENSE_ENTRY_GUARD.bit_length())
     check_entry_count(t.nnz() ** cap, f"Kronecker power {n} of {t.nnz()} entries")

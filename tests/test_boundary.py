@@ -355,6 +355,20 @@ def test_kron_power_guard_is_exact_up_to_its_cap(monkeypatch):
     _raises_fast(lambda: kron_power(ten, 7))
 
 
+def test_kron_power_refuses_dimensions_past_the_guard(monkeypatch):
+    # One entry keeps the entry count at 1, but each dimension of the power
+    # of a 2x2x2 tensor at n = 10^7 is 2^(10^7), a 10^7-bit int.
+    one = Tensor((2, 2, 2), {(1, 1, 1): QC(1)})
+    assert "(10000000 index bits)" in _raises_fast(lambda: kron_power(one, 10**7))
+    # n times the bits of d - 1 is checked exactly: 10^6 bits pass.
+    monkeypatch.setattr("tpl.tensor.kron", lambda acc, t: acc)
+    three = Tensor((3, 1, 1), {(0, 0, 0): QC(1)})
+    kron_power(one, 10**6)
+    kron_power(three, 5 * 10**5)
+    _raises_fast(lambda: kron_power(one, 10**6 + 1))
+    _raises_fast(lambda: kron_power(three, 5 * 10**5 + 1))
+
+
 def test_slot_structure_refuses_before_any_product(monkeypatch):
     # 3^13 = 1,594,323 entries, the check of build_structure.
     monkeypatch.setattr("tpl.hypergraph.tensor_product", _no_product)

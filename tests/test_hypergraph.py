@@ -183,6 +183,11 @@ def test_slot_structure_matches_build():
         assert group(slot_tensor, vertex_grouping) == build_structure(h, t)
 
 
+def test_slot_structure_of_the_edgeless_hypergraph_is_the_unit():
+    h = Hypergraph(0, [])
+    assert group(*slot_structure(h, [])) == build_structure(h, []) == Tensor((), {(): QC(1)})
+
+
 def test_fold_identity():
     h = make_family("Triangular", 3)
     gm = GroupingMap(tuple(range(h.n_vertices)), h.n_vertices)

@@ -59,6 +59,16 @@ def test_hyperdeterminant_covariance():
         assert hyperdeterminant_222(image) == scale * hyperdeterminant_222(t)
 
 
+def test_hyperdeterminant_matches_the_explicit_expansion():
+    rng = random.Random(43)
+    for n in range(240):
+        t = util.random_rational_tensor(rng, (2, 2, 2), density=rng.choice([0.4, 0.8, 1.0]), den=5)
+        if n % 2:  # Gaussian rational entries
+            entries = {i: v * QC(Fraction(rng.randint(-3, 3), 2), rng.randint(-3, 3)) for i, v in t.entries.items()}
+            t = Tensor(t.dims, {i: v for i, v in entries.items() if v})
+        assert hyperdeterminant_222(t) == util.hyperdeterminant_222_ref(t)
+
+
 def test_hyperdeterminant_rejects_wrong_dims():
     with pytest.raises(ValueError):
         hyperdeterminant_222(ghz(3))

@@ -21,6 +21,8 @@ independent of the integer evaluation table;
 :func:`lattice_construction_ref` builds each eps vertex map by
 ``Matrix.kron`` (:func:`structure_degeneration`) and interpolates it that
 way, independent of the integer Kronecker product of evaluated edge maps.
+:func:`hyperdeterminant_222_ref` expands Cayley's polynomial term by
+term, independent of the slice discriminant.
 
 The rest are test-only builders and oracles: :func:`matrix_from_rows`,
 :func:`representative_222` (one tensor per 2x2x2 orbit),
@@ -150,6 +152,32 @@ def flatten_dense(t, left):
     a = np.transpose(a, left + right)
     rows = int(np.prod([t.dims[p] for p in left]))
     return a.reshape(rows, -1)
+
+
+def hyperdeterminant_222_ref(t):
+    """Cayley's hyperdeterminant of a 2x2x2 tensor by its explicit expansion."""
+
+    def e(i, j, k):
+        return t.entries.get((i, j, k), scalars.QC_ZERO)
+
+    t000, t001, t010, t011 = e(0, 0, 0), e(0, 0, 1), e(0, 1, 0), e(0, 1, 1)
+    t100, t101, t110, t111 = e(1, 0, 0), e(1, 0, 1), e(1, 1, 0), e(1, 1, 1)
+    sq = (
+        t000 * t000 * t111 * t111
+        + t001 * t001 * t110 * t110
+        + t010 * t010 * t101 * t101
+        + t100 * t100 * t011 * t011
+    )
+    pairs = (
+        t000 * t001 * t110 * t111
+        + t000 * t010 * t101 * t111
+        + t000 * t011 * t100 * t111
+        + t001 * t010 * t101 * t110
+        + t001 * t011 * t110 * t100
+        + t010 * t011 * t101 * t100
+    )
+    quads = t000 * t011 * t101 * t110 + t001 * t010 * t100 * t111
+    return sq - QC(2) * pairs + QC(4) * quads
 
 
 def random_rational_tensor(rng, dims, density=0.6, den=8):
