@@ -110,50 +110,63 @@ class BoundReport:
 
 
 def unit_size(t):
-    """r when t is (a padding of) the size-r unit tensor: rational, each of its r entries a diagonal 1."""
-    s = strip_padding(t)
-    if s.is_zero() or s.domain != RATIONAL:
+    """r when t is (a padding of) the size-r unit tensor: rational, each of its r entries a diagonal 1.
+
+    A tensor that is not rational, or has an entry other than 1, gives None
+    before any padding is stripped.
+    """
+    if t.domain != RATIONAL or any(v != 1 for v in t.entries.values()):
         return None
-    if all(v == 1 and len(set(idx)) == 1 for idx, v in s.entries.items()):
-        return s.nnz()
-    return None
+    s = strip_padding(t)
+    if s.is_zero() or not all(len(set(idx)) == 1 for idx in s.entries):
+        return None
+    return s.nnz()
 
 
 def _best_lower(t, koszul=True):
-    """The first best flattening lower bound of t, ranking only candidates that can still raise it.
+    """The first best flattening lower bound of t, by branch and bound over the candidates' ceilings.
 
-    The candidates, in order: gauge point j = 0..k-1, then, with ``koszul``
-    and t of order 3, the Koszul ratio at p = 1..d3-1 for each level the
-    size guards admit. A candidate's value is at most its ceiling,
-    min(rows, cols) of its matrix over its denominator: min(d_j, the
-    product of the other dims) for gauge j, and
-    min(d1 C(d3, p+1), d2 C(d3, p)) / C(d3-1, p) for Koszul p. A candidate
-    is ranked only when its ceiling is strictly above the best so far, and
-    it replaces the best only when its value is strictly above it. So the
-    first of equal candidates wins, and a skipped one could not have.
+    The candidates, in their listing order: gauge point j = 0..k-1, then,
+    with ``koszul`` and t of order 3, the Koszul ratio at p = 1..d3-1 for
+    each level the size guards admit. A candidate's value is at most its
+    ceiling, min(rows, cols) of its matrix over its denominator: min(d_j,
+    the product of the other dims) for gauge j, and
+    min(d1 C(d3, p+1), d2 C(d3, p)) / C(d3-1, p) for Koszul p.
+
+    Candidates are taken in descending order of ceiling, equal ceilings in
+    listing order. One is skipped when its ceiling is below the best so
+    far, or equal to it and listed after the best. A ranked candidate
+    replaces the best when its value is higher, or equal and listed before
+    it. The result is the first best in listing order: that candidate is
+    never skipped, since its ceiling is at least its value, which is at
+    least the best so far, and once ranked nothing displaces it.
     """
     _check_gauge_order(t)
     size = math.prod(t.dims)
-    best = None
-    for j, d in enumerate(t.dims):
-        if best is None or min(d, size // d) > best.value:
-            value = Fraction(rank(flatten(t, {j})))
-            if best is None or value > best.value:
-                best = Bound(value, "gauge point", {"kind": "gauge", "factor": j})
-    if not koszul or t.order != 3:
-        return best
-    d1, d2, d3 = t.dims
-    for p in range(1, d3):
-        spec = KoszulSpec(d3, p)
-        rows, cols = d1 * spec.out_rows, d2 * spec.out_cols
-        if Fraction(min(rows, cols), math.comb(d3 - 1, p)) <= best.value:
+    # (ceiling, listing position, Koszul spec or None for a gauge point)
+    candidates = [(min(d, size // d), j, None) for j, d in enumerate(t.dims)]
+    if koszul and t.order == 3:
+        d1, d2, d3 = t.dims
+        for p in range(1, d3):
+            spec = KoszulSpec(d3, p)
+            ceiling = Fraction(min(d1 * spec.out_rows, d2 * spec.out_cols), math.comb(d3 - 1, p))
+            candidates.append((ceiling, len(candidates), spec))
+    candidates.sort(key=lambda c: c[0], reverse=True)  # stable: equal ceilings stay in listing order
+    best = at = None
+    for ceiling, position, spec in candidates:
+        if best is not None and (ceiling < best.value or (ceiling == best.value and position > at)):
             continue
-        if rows > MATRIX_SIDE_GUARD or _koszul_size_error(t, spec):
+        if spec is None:
+            value = Fraction(rank(flatten(t, {position})))
+            bound = Bound(value, "gauge point", {"kind": "gauge", "factor": position})
+        elif t.dims[0] * spec.out_rows > MATRIX_SIDE_GUARD or _koszul_size_error(t, spec):
             continue
-        ratio = flattening_ratio(t, spec)
-        if ratio > best.value:
-            ref = {"kind": "koszul", "d3": d3, "p": p, "ratio": str(ratio)}
-            best = Bound(ratio, f"koszul flattening ratio (d3={d3}, p={p})", ref)
+        else:
+            value = flattening_ratio(t, spec)
+            ref = {"kind": "koszul", "d3": spec.d3, "p": spec.p, "ratio": str(value)}
+            bound = Bound(value, f"koszul flattening ratio (d3={spec.d3}, p={spec.p})", ref)
+        if best is None or value > best.value or (value == best.value and position < at):
+            best, at = bound, position
     return best
 
 
@@ -161,15 +174,16 @@ def disjoint_rank_bounds(t, catalog=None, trials=16, seed=0):
     """Bounds on the disjoint asymptotic rank.
 
     Lower: the best of the gauge points and Koszul flattening ratios (both
-    multiplicative under the disjoint product), gauge points 0..k-1 first,
-    then Koszul levels p = 1..d3-1, and of equal values the first one wins.
-    A candidate is ranked only when its ceiling, min(rows, cols) of its
-    matrix over its denominator, is strictly above the best so far (see
-    :func:`_best_lower`). Upper: border-rank witnesses,
-    i.e. the smallest unit-tensor source among verified degeneration
-    certificates (and exact decompositions) in the catalog targeting t, or r
-    when t itself is a unit tensor. ``trials`` and ``seed`` are accepted and
-    have no effect: the Koszul ratio denominators are closed values.
+    multiplicative under the disjoint product), listed gauge points 0..k-1
+    first, then Koszul levels p = 1..d3-1; of equal values the first listed
+    wins. Candidates are ranked highest ceiling first, the ceiling being
+    min(rows, cols) of the matrix over its denominator, and one that cannot
+    beat the best so far is skipped (see :func:`_best_lower`). Upper:
+    border-rank witnesses, i.e. the smallest unit-tensor source among
+    verified degeneration certificates (and exact decompositions) in the
+    catalog targeting t, or r when t itself is a unit tensor. ``trials`` and
+    ``seed`` are accepted and have no effect: the Koszul ratio denominators
+    are closed values.
     """
     catalog = catalog or Catalog.default()
     lower = _best_lower(t)
@@ -212,12 +226,14 @@ def strassen_rank_bounds(t, n_max=2, catalog=None):
 
     Lower: the largest gauge point (flattening ranks are multiplicative under
     the Kronecker product and monotone under restriction), the first one of
-    equal values; a gauge point is ranked only when min(d_j, the product of
-    the other dims) is above the best so far. Upper: n-th roots of verified
-    catalog decompositions of the n-th Kronecker powers, held as exact
-    :class:`Root` values and compared exactly. The
-    powers stop early once nnz(t)^n, the entry count of the n-th power of
-    an exact tensor, exceeds that of every decomposed catalog tensor.
+    equal values. Gauge points are ranked in descending order of their
+    ceiling min(d_j, the product of the other dims), and one whose ceiling
+    cannot beat the best so far is skipped (see :func:`_best_lower`).
+    Upper: n-th roots of verified catalog decompositions of the n-th
+    Kronecker powers, held as exact :class:`Root` values and compared
+    exactly. The powers stop early once nnz(t)^n, the entry count of the
+    n-th power of an exact tensor, exceeds that of every decomposed catalog
+    tensor.
     """
     catalog = catalog or Catalog.default()
     lower = _best_lower(t, koszul=False)

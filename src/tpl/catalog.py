@@ -6,7 +6,8 @@ verified exactly on put, and on load once per file version per process;
 corrupted data fails loudly. A verified entry, and the manifest's id list,
 is kept in a table shared by every ``Catalog`` of the process, keyed on its
 file's path and stat key (device, inode, size, mtime_ns, ctime_ns): a file
-that changed in any of these is read (and verified) again. Cached entries
+that changed in any of these is read (and verified) again; each ``Catalog``
+builds the path of its manifest and of each entry file once. Cached entries
 are shared between callers and must be treated as read-only.
 Literature-sourced values live in entry metadata as provenance strings and
 are never used as bounds without a verifying witness.
@@ -189,6 +190,9 @@ class Catalog:
 
     def __init__(self, path):
         self.path = Path(path)
+        self._manifest_path = self.path / f"{_MANIFEST_ID}.json"
+        # id -> the path of its entry file, built once per Catalog.
+        self._entry_paths = {}
 
     @classmethod
     def default(cls):
@@ -200,19 +204,22 @@ class Catalog:
     def packaged(cls):
         return cls(_PACKAGED_CATALOG)
 
-    def _manifest_path(self):
-        return self.path / f"{_MANIFEST_ID}.json"
+    def _entry_path(self, entry_id):
+        path = self._entry_paths.get(_check_id(entry_id))
+        if path is None:
+            path = self._entry_paths[entry_id] = self.path / f"{entry_id}.json"
+        return path
 
     def ids(self):
         try:
-            return list(_read_once(_read_manifest, self._manifest_path()))
+            return list(_read_once(_read_manifest, self._manifest_path))
         except (FileNotFoundError, NotADirectoryError):
             return []
 
     def get(self, entry_id):
         """The verified entry ``entry_id``; read and verified once per file version."""
         try:
-            return _read_once(_read_entry, self.path / f"{_check_id(entry_id)}.json")
+            return _read_once(_read_entry, self._entry_path(entry_id))
         except (FileNotFoundError, NotADirectoryError):
             raise CatalogError(f"unknown catalog id {entry_id!r}") from None
 
@@ -223,11 +230,11 @@ class Catalog:
         self.path.mkdir(parents=True, exist_ok=True)
         # Entry first, then manifest: a crash in between leaves at most an
         # unlisted entry, never a listed id whose file is missing.
-        jsonio.dump_path(self.path / f"{entry.id}.json", entry_to_json(entry))
+        jsonio.dump_path(self._entry_path(entry.id), entry_to_json(entry))
         ids = self.ids()
         if entry.id not in ids:
             ids.append(entry.id)
-        jsonio.dump_path(self._manifest_path(), {"entries": sorted(ids)})
+        jsonio.dump_path(self._manifest_path, {"entries": sorted(ids)})
         return entry
 
     def load_all(self):

@@ -137,15 +137,10 @@ def koszul_flatten(t, spec):
             table = tables[c] = _wedge_table(cols_subs, rows_of, c)
         neg = -v
         row0, col0 = a * n_rows, b * n_cols
+        # Each key is written once: (row, col) gives back a, b, the column's subset S
+        # and c, the one element of the row's subset outside S.
         for i, j, positive in table:
-            key = (row0 + i, col0 + j)
-            w = v if positive else neg
-            acc = entries.get(key)
-            acc = w if acc is None else acc + w
-            if acc:
-                entries[key] = acc
-            else:
-                del entries[key]
+            entries[row0 + i, col0 + j] = v if positive else neg
     return _tensor((d1 * n_rows, d2 * n_cols), entries, t.domain, Matrix)
 
 

@@ -1,13 +1,15 @@
-"""Bound reports rank only the flattenings that can still raise the lower bound.
+"""Bound reports rank the highest-ceiling flattening first and skip the rest.
 
-``disjoint_rank_bounds`` and ``strassen_rank_bounds`` skip a candidate
-whose ceiling, min(rows, cols) of its matrix over its denominator, is not
-strictly above the best bound so far. ``reference_lower`` below ranks every
-candidate in the same order and keeps the first best, and the reports must
-match it in value, witness and ``ref``. The pinned texts are the
-``to_json()`` of both reports before the skip existed. The Kronecker-power
-roots of ``strassen_rank_bounds`` are exact ``Root`` values, checked here
-against 400-digit decimals.
+``disjoint_rank_bounds`` and ``strassen_rank_bounds`` take their candidates
+in descending order of ceiling, min(rows, cols) of the matrix over its
+denominator, and skip one whose ceiling cannot beat the best bound so far.
+``reference_lower`` below ranks every candidate in listing order (gauge
+points, then Koszul levels) and keeps the first best, and the reports must
+match it in value, witness and ``ref``; a second reference does the same
+over fake ranks, so ties are common. The pinned texts are the ``to_json()``
+of both reports before any skip existed. The Kronecker-power roots of
+``strassen_rank_bounds`` are exact ``Root`` values, checked here against
+400-digit decimals.
 """
 
 import json
@@ -188,10 +190,21 @@ def test_reports_match_the_reference(t):
     assert_matches_reference(t)
 
 
-@pytest.mark.parametrize("d", [3, 4])
-def test_dense_disjoint_reports_make_two_exact_ranks(monkeypatch, d):
-    # Gauge 0 reaches its ceiling d, which no other gauge point can beat,
-    # and Koszul p = 1 reaches its ceiling, which no later level can beat.
+# Exact ranks per (disjoint, strassen) report. A dense or half-dense report
+# ranks Koszul p = 1 first (ceiling 9/2 or 16/3), and its value is above
+# every gauge ceiling. The moved GHZ_3 is a tie: Koszul p = 1 gives 3, and
+# gauge 0, ceiling 3 and listed first, is ranked and takes the bound.
+RANK_COUNTS = {
+    "dense-3": (1, 1),
+    "dense-4": (1, 1),
+    "half-dense-3": (1, 1),
+    "half-dense-4": (1, 1),
+    "ghz3-moved": (2, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(RANK_COUNTS))
+def test_disjoint_reports_rank_the_highest_ceiling_first(monkeypatch, name):
     calls = []
 
     def counted(m, *args, **kwargs):
@@ -200,13 +213,47 @@ def test_dense_disjoint_reports_make_two_exact_ranks(monkeypatch, d):
 
     monkeypatch.setattr(asymptotic, "rank", counted)
     monkeypatch.setattr(obstructions, "rank", counted)
-    t = util.random_rational_tensor(random.Random(d), (d, d, d), density=1.0, den=16)
+    t = pinned_tensors()[name]
     report = disjoint_rank_bounds(t, Catalog.packaged())
-    assert report.lower.ref == {"kind": "koszul", "d3": d, "p": 1, "ratio": str(Fraction(d * d, d - 1))}
-    assert len(calls) == 2
+    if name == "ghz3-moved":
+        assert report.lower.ref == {"kind": "gauge", "factor": 0}
+    else:
+        assert (report.lower.ref["kind"], report.lower.ref["p"]) == ("koszul", 1)
+    disjoint_calls = len(calls)
     calls.clear()
     strassen_rank_bounds(t, n_max=1, catalog=Catalog.packaged())
-    assert len(calls) == 1
+    assert (disjoint_calls, len(calls)) == RANK_COUNTS[name]
+
+
+def test_branch_and_bound_returns_the_first_best_listed_candidate(monkeypatch):
+    # Fake ranks at or below each ceiling, drawn from a few values so that
+    # ties are common; no real rank runs. The reference ranks every candidate
+    # in listing order and keeps the first best.
+    values = {}
+    monkeypatch.setattr(asymptotic, "flatten", lambda t, left: ("gauge", *left))
+    monkeypatch.setattr(asymptotic, "rank", lambda key: values[key])
+    monkeypatch.setattr(asymptotic, "flattening_ratio", lambda t, spec: values["koszul", spec.p])
+    rng = random.Random(29)
+    for _ in range(3000):
+        order, koszul = rng.randint(2, 4), rng.random() < 0.8
+        dims = tuple(rng.randint(1, 6 if (order, j) == (3, 2) else 4) for j in range(order))
+        values.clear()
+        for j, d in enumerate(dims):
+            values["gauge", j] = rng.randint(0, min(d, math.prod(dims) // d))
+        if koszul and order == 3:
+            d1, d2, d3 = dims
+            for p in range(1, d3):
+                spec = KoszulSpec(d3, p)
+                ceiling = Fraction(min(d1 * spec.out_rows, d2 * spec.out_cols), math.comb(d3 - 1, p))
+                values["koszul", p] = rng.choice([Fraction(v, 2) for v in range(13) if v <= 2 * ceiling] + [ceiling])
+        listed = None
+        for key, value in values.items():
+            if listed is None or value > values[listed]:
+                listed = key
+        best = asymptotic._best_lower(Tensor(dims, {}), koszul)
+        kind, at = listed
+        assert best.value == values[listed]
+        assert (best.ref["kind"], best.ref["factor" if kind == "gauge" else "p"]) == (kind, at)
 
 
 def oracle_sign(x, y):

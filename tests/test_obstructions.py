@@ -121,6 +121,24 @@ def test_koszul_shape():
     assert (m.rows, m.cols) == (2 * math.comb(4, 3), 3 * math.comb(4, 2))
 
 
+@pytest.mark.parametrize("d3", range(1, 6))
+def test_koszul_flatten_writes_each_entry_once(d3):
+    # Entry (a, b, c) reaches C(d3-1, p) keys, one per p-subset without c,
+    # and no two entries reach the same key, so nothing cancels.
+    rng = random.Random(d3)
+    real = util.random_rational_tensor(rng, (2, 3, d3), density=0.7)
+    complex_entries = {
+        idx: QC(rng.randint(-3, 3), rng.randint(1, 3))
+        for idx in product(range(3), range(2), range(d3))
+        if rng.random() < 0.7
+    }
+    inner = util.random_rational_tensor(rng, (2, 2, max(d3 - 1, 1)), density=1.0)
+    padded = Tensor((4, 3, d3), dict(inner.entries))
+    for t in (real, Tensor((3, 2, d3), complex_entries), padded):
+        for p in range(d3):
+            assert koszul_flatten(t, KoszulSpec(d3, p)).nnz() == t.nnz() * math.comb(d3 - 1, p)
+
+
 def test_koszul_dimension_mismatch():
     with pytest.raises(ValueError):
         koszul_flatten(ghz(2), KoszulSpec(3, 1))
