@@ -9,7 +9,6 @@ without data that re-verifies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .catalog import Catalog
@@ -18,23 +17,26 @@ from .matrix import flatten, rank
 from .named import mamu
 from .obstructions import KoszulSpec, flattening_ratio, koszul_flatten, _check_gauge_order, _koszul_size_error
 from .preorder import CertificateError, _interpolation_certificate, verify_degeneration
-from .scalars import RATIONAL
+from .scalars import RATIONAL, _Record, _set_field
 from .tensor import StructureTooLarge, equal_up_to_padding, kron, strip_padding
 
 MATRIX_SIDE_GUARD = 10**5
 
 
-@dataclass(frozen=True, eq=False)
-class Root:
+class Root(_Record):
     """The exact real number ``radicand`` ** (1 / ``index``), for ints radicand >= 0 and index >= 1.
 
     Comparisons are exact: r^(1/n) against a rational p/q >= 0 compares
-    r * q^n with p^n, and r^(1/n) against s^(1/m) compares r^m with s^n.
-    Its float is ``float(radicand) ** (1.0 / index)``.
+    r * q^n with p^n, and r^(1/n) against s^(1/m) compares r^m with s^n. A
+    Root equals any Root or rational of the same value, so it is not
+    hashable. Its float is ``float(radicand) ** (1.0 / index)``.
     """
 
-    radicand: int
-    index: int
+    __match_args__ = ("radicand", "index")
+
+    def __init__(self, radicand, index):
+        _set_field(self, "radicand", radicand)
+        _set_field(self, "index", index)
 
     def __float__(self):
         return float(self.radicand) ** (1.0 / self.index)
@@ -60,11 +62,19 @@ class Root:
         return self._sign(other) > 0
 
 
-@dataclass(frozen=True)
-class Bound:
-    value: object  # a Fraction, or a Root for the root of a Kronecker-power rank
-    witness: str
-    ref: dict = field(default_factory=dict)
+class Bound(_Record):
+    """A bound ``value`` (a Fraction, or a Root for the root of a Kronecker-power rank) and its witness.
+
+    ``ref`` is a dict of the witness's data; without one the bound gets a new
+    empty dict.
+    """
+
+    __match_args__ = ("value", "witness", "ref")
+
+    def __init__(self, value, witness, ref=None):
+        _set_field(self, "value", value)
+        _set_field(self, "witness", witness)
+        _set_field(self, "ref", {} if ref is None else ref)
 
     def as_float(self):
         return float(self.value)
@@ -82,21 +92,22 @@ class Bound:
         return out
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    quantity: str
-    lower: Bound | None = None
-    upper: Bound | None = None
-    table: list = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
+class BoundReport(_Record):
+    """Lower and upper ``Bound`` (either may be None) of one quantity; the lower may not exceed the upper.
 
-    def __post_init__(self):
-        if self.lower and self.upper:
-            if self.lower.exceeds(self.upper):
-                raise ValueError(
-                    f"{self.quantity}: lower bound {self.lower.value} exceeds "
-                    f"upper bound {self.upper.value}"
-                )
+    ``table`` (a list) and ``extras`` (a dict) default to new empty ones.
+    """
+
+    __match_args__ = ("quantity", "lower", "upper", "table", "extras")
+
+    def __init__(self, quantity, lower=None, upper=None, table=None, extras=None):
+        if lower and upper and lower.exceeds(upper):
+            raise ValueError(f"{quantity}: lower bound {lower.value} exceeds upper bound {upper.value}")
+        _set_field(self, "quantity", quantity)
+        _set_field(self, "lower", lower)
+        _set_field(self, "upper", upper)
+        _set_field(self, "table", [] if table is None else table)
+        _set_field(self, "extras", {} if extras is None else extras)
 
     def to_json(self):
         obj = {"quantity": self.quantity}

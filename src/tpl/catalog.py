@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import jsonio
 from .matrix import Matrix
 from .named import ghz
 from .preorder import verify_degeneration
-from .scalars import RATIONAL
+from .scalars import RATIONAL, _Record, _set_field
 from .tensor import Tensor, apply_product_map
 
 ENV_CATALOG_DIR = "TPL_CATALOG"
@@ -51,21 +50,30 @@ def _check_id(entry_id):
     return entry_id
 
 
-@dataclass(frozen=True)
-class Degeneration:
+class Degeneration(_Record):
     """Source tensor plus an eps certificate degenerating it to the entry tensor."""
 
-    source: Tensor
-    cert: object
+    __match_args__ = ("source", "cert")
+
+    def __init__(self, source, cert):
+        _set_field(self, "source", source)
+        _set_field(self, "cert", cert)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    id: str
-    tensor: Tensor
-    decomposition: list | None = None
-    degeneration: Degeneration | None = None
-    metadata: dict = field(default_factory=dict)
+class CatalogEntry(_Record):
+    """A named tensor with its optional decomposition (a list of terms), ``Degeneration`` and metadata dict.
+
+    ``metadata`` defaults to a new empty dict.
+    """
+
+    __match_args__ = ("id", "tensor", "decomposition", "degeneration", "metadata")
+
+    def __init__(self, id, tensor, decomposition=None, degeneration=None, metadata=None):
+        _set_field(self, "id", id)
+        _set_field(self, "tensor", tensor)
+        _set_field(self, "decomposition", decomposition)
+        _set_field(self, "degeneration", degeneration)
+        _set_field(self, "metadata", {} if metadata is None else metadata)
 
 
 def decomposition_tensor(dims, terms):

@@ -24,11 +24,10 @@ with 2-face bowties around one edge-direction class of midpoints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 
 from . import scalars
-from .scalars import RATIONAL
+from .scalars import RATIONAL, _Record, _set_field
 from .tensor import GroupingSpec, Tensor, check_entry_count, group, tensor_product
 
 FAMILIES = ("Disjoint", "Strassen", "Triangular", "Kagome", "Fan")
@@ -82,20 +81,20 @@ class Hypergraph:
         return slots
 
 
-@dataclass(frozen=True)
-class GroupingMap:
+class GroupingMap(_Record):
     """Surjective vertex map used to fold one hypergraph onto another."""
 
-    mapping: tuple
-    n_targets: int
+    __match_args__ = ("mapping", "n_targets")
 
-    def __post_init__(self):
-        object.__setattr__(self, "mapping", scalars.check_ints(self.mapping, "grouping map targets"))
-        scalars.check_ints((self.n_targets,), "grouping map target count")
-        if any(not (0 <= v < self.n_targets) for v in self.mapping):
+    def __init__(self, mapping, n_targets):
+        mapping = scalars.check_ints(mapping, "grouping map targets")
+        scalars.check_ints((n_targets,), "grouping map target count")
+        if any(not (0 <= v < n_targets) for v in mapping):
             raise ValueError("grouping map target out of range")
-        if set(self.mapping) != set(range(self.n_targets)):
+        if set(mapping) != set(range(n_targets)):
             raise ValueError("grouping map must be surjective")
+        _set_field(self, "mapping", mapping)
+        _set_field(self, "n_targets", n_targets)
 
     def __call__(self, v):
         return self.mapping[v]
@@ -336,12 +335,14 @@ def slot_structure(h, assignment):
     return reduce(tensor_product, tensors, _unit(tensors)), GroupingSpec(blocks)
 
 
-@dataclass(frozen=True)
-class FoldResult:
+class FoldResult(_Record):
     """Folded hypergraph plus the slot grouping it induces on structures."""
 
-    hypergraph: Hypergraph
-    slot_grouping: GroupingSpec
+    __match_args__ = ("hypergraph", "slot_grouping")
+
+    def __init__(self, hypergraph, slot_grouping):
+        _set_field(self, "hypergraph", hypergraph)
+        _set_field(self, "slot_grouping", slot_grouping)
 
 
 def fold(h, grouping_map):

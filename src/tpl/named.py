@@ -9,9 +9,7 @@ before building a tensor of over ``DENSE_ENTRY_GUARD`` index components (entries
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .scalars import QC_ONE, RATIONAL, _check_index_components, check_ints
+from .scalars import QC_ONE, RATIONAL, _Record, _check_index_components, _set_field, check_ints
 from .tensor import Tensor
 
 NAMES = ("GHZ", "W", "EPR", "MaMu", "CW", "Unit")
@@ -77,16 +75,16 @@ def simple(k=3):
     return ghz(1, k)
 
 
-@dataclass(frozen=True)
-class NamedTensorSpec:
-    """Name plus parameters selecting one of the named tensors."""
+class NamedTensorSpec(_Record):
+    """Name plus parameters selecting one of the named tensors; ``params`` defaults to a new empty dict."""
 
-    name: str
-    params: dict = field(default_factory=dict)
+    __match_args__ = ("name", "params")
 
-    def __post_init__(self):
-        if self.name not in NAMES:
-            raise ValueError(f"unknown tensor name {self.name!r}; expected one of {NAMES}")
+    def __init__(self, name, params=None):
+        if name not in NAMES:
+            raise ValueError(f"unknown tensor name {name!r}; expected one of {NAMES}")
+        _set_field(self, "name", name)
+        _set_field(self, "params", {} if params is None else params)
 
 
 def make_named(spec):

@@ -8,13 +8,12 @@ point evaluation of the entropy-weighted spectral functional.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from . import scalars
 from .matrix import Matrix, flatten, rank
-from .scalars import EPS, RATIONAL, QC
+from .scalars import EPS, RATIONAL, QC, _Record, _set_field
 from .tensor import DENSE_ENTRY_GUARD, StructureTooLarge, _tensor
 
 
@@ -55,19 +54,19 @@ def hyperdeterminant_222(t):
     return b * b - QC(4) * det(0) * det(1)
 
 
-@dataclass(frozen=True)
-class KoszulSpec:
+class KoszulSpec(_Record):
     """Koszul flattening parameters: third-factor dimension and wedge level p."""
 
-    d3: int
-    p: int
+    __match_args__ = ("d3", "p")
 
-    def __post_init__(self):
-        scalars.check_ints((self.d3, self.p), "Koszul d3 and p")
-        if self.d3 < 1:
+    def __init__(self, d3, p):
+        scalars.check_ints((d3, p), "Koszul d3 and p")
+        if d3 < 1:
             raise ValueError("d3 must be positive")
-        if not (0 <= self.p <= self.d3 - 1):
-            raise ValueError(f"need 0 <= p <= d3-1, got p={self.p}, d3={self.d3}")
+        if not (0 <= p <= d3 - 1):
+            raise ValueError(f"need 0 <= p <= d3-1, got p={p}, d3={d3}")
+        _set_field(self, "d3", d3)
+        _set_field(self, "p", p)
 
     @property
     def out_rows(self):
@@ -168,16 +167,14 @@ def flattening_ratio(t, spec, trials=64, seed=0):
     return Fraction(rank(koszul_flatten(t, spec)), max_simple_koszul_rank(spec))
 
 
-@dataclass(frozen=True)
-class ThetaWeights:
+class ThetaWeights(_Record):
     """Probability weights over the factor positions."""
 
-    weights: tuple
+    __match_args__ = ("weights",)
 
-    def __post_init__(self):
-        w = tuple(self.weights)
-        object.__setattr__(self, "weights", w)
-        if any((x < 0) for x in w):
+    def __init__(self, weights):
+        w = tuple(weights)
+        if not all(x >= 0 for x in w):  # also refuses NaN, which no comparison holds for
             raise ValueError("theta weights must be nonnegative")
         total = sum(w)
         if isinstance(total, Fraction):
@@ -185,6 +182,7 @@ class ThetaWeights:
                 raise ValueError(f"theta weights sum to {total}, expected 1")
         elif abs(float(total) - 1.0) > 1e-12:
             raise ValueError(f"theta weights sum to {total}, expected 1")
+        _set_field(self, "weights", w)
 
     @classmethod
     def uniform(cls, k):

@@ -11,13 +11,12 @@ verified degeneration into a restriction from a small direct sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from . import scalars
 from .matrix import Matrix
 from .obstructions import gauge_points, hyperdeterminant_222
-from .scalars import EPS, RATIONAL, QC, _qc, _reduced
+from .scalars import EPS, RATIONAL, QC, _Record, _qc, _reduced, _set_field
 from .tensor import _tensor, apply_product_map, check_dense_size, check_entry_count, direct_sum_many, lowest_eps_image
 
 
@@ -25,35 +24,35 @@ class CertificateError(ValueError):
     """Structurally invalid certificate (shapes, domains, empty expansion)."""
 
 
-@dataclass(frozen=True)
-class RestrictionCertificate:
+class RestrictionCertificate(_Record):
     """One rational matrix per factor witnessing t >= t'."""
 
-    maps: tuple
+    __match_args__ = ("maps",)
 
-    def __post_init__(self):
-        for m in self.maps:
+    def __init__(self, maps):
+        for m in maps:
             if not isinstance(m, Matrix) or m.domain != RATIONAL:
                 raise CertificateError("restriction maps must be rational matrices")
+        _set_field(self, "maps", maps)
 
     @property
     def order(self):
         return len(self.maps)
 
 
-@dataclass(frozen=True)
-class DegenerationCertificate:
+class DegenerationCertificate(_Record):
     """Eps-polynomial matrices with declared degree d and error degree e."""
 
-    maps: tuple
-    d: int = 0
-    e: int = 0
+    __match_args__ = ("maps", "d", "e")
 
-    def __post_init__(self):
-        for m in self.maps:
+    def __init__(self, maps, d=0, e=0):
+        for m in maps:
             if not isinstance(m, Matrix) or m.domain != EPS:
                 raise CertificateError("degeneration maps must be eps matrices")
-        scalars.check_ints((self.d, self.e), "declared degrees d and e", CertificateError)
+        scalars.check_ints((d, e), "declared degrees d and e", CertificateError)
+        _set_field(self, "maps", maps)
+        _set_field(self, "d", d)
+        _set_field(self, "e", e)
 
     @property
     def order(self):

@@ -58,6 +58,46 @@ def check_ints(values, what, error=ValueError):
     return values
 
 
+# Sets a field of a record past its refusing ``__setattr__``. Writing through
+# ``self.__dict__`` instead would be quicker to build but about three times
+# slower to read: the instance dict is then materialized.
+_set_field = object.__setattr__
+
+
+class _Record:
+    """Base of the immutable record classes: field-wise ``==``, ``hash`` and ``repr``.
+
+    A subclass names its fields, in order, in ``__match_args__``. Its
+    ``__init__`` checks the values and sets them with ``_set_field``, because
+    assigning or deleting an attribute raises AttributeError. Two records are
+    equal when they are of the same class and their field tuples are equal,
+    so a record never equals a tuple. Copy and pickle restore the instance
+    ``__dict__`` without assigning, which is why records have no
+    ``__slots__``.
+    """
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 _INTEGER = r"[+-]?[0-9]+"
 _FRACTION = re.compile(f"({_INTEGER})(?:/([0-9]+))?")
 

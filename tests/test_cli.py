@@ -439,13 +439,17 @@ def test_bounds_strassen_bad_n_usage_error(capsys, w_path, n):
     assert err.startswith("tpl: ") and "--n" in err
 
 
-def test_startup_does_not_import_numpy():
+def test_startup_imports_neither_numpy_nor_dataclasses_nor_inspect():
     import subprocess
     import sys
 
-    check = "import sys, tpl, tpl.cli; assert 'numpy' not in sys.modules"
+    check = (
+        "import sys, tpl, tpl.cli\n"
+        "print([m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules])"
+    )
     proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_obstruct_in_child_prints_same_qf(capsys, w_path):

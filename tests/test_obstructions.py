@@ -245,6 +245,23 @@ def test_theta_weights_validation():
         ThetaWeights((Fraction(3, 2), Fraction(-1, 2)))
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ((math.nan, 0.5, 0.5), "theta weights must be nonnegative"),
+        ((0.5, 0.5, math.nan), "theta weights must be nonnegative"),
+        ((-math.inf, 0.5, 0.5), "theta weights must be nonnegative"),
+        ((math.inf, 0.5, 0.5), "theta weights sum to inf, expected 1"),
+    ],
+)
+def test_theta_weights_refuse_nan_and_infinity(weights, message):
+    with pytest.raises(ValueError) as info:
+        ThetaWeights(weights)
+    assert str(info.value) == message
+    with pytest.raises(ValueError):
+        quantum_functional_point(w_state(), weights)
+
+
 def test_quantum_functional_ghz_and_simple():
     rng = random.Random(53)
     for r in (2, 3, 4, 5):
