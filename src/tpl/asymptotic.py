@@ -17,10 +17,8 @@ from .matrix import flatten, rank
 from .named import mamu
 from .obstructions import KoszulSpec, flattening_ratio, koszul_flatten, _check_gauge_order, _koszul_size_error
 from .preorder import CertificateError, _interpolation_certificate, verify_degeneration
-from .scalars import RATIONAL, _Record, _set_field
-from .tensor import StructureTooLarge, equal_up_to_padding, kron, strip_padding
-
-MATRIX_SIDE_GUARD = 10**5
+from .scalars import RATIONAL, _Record, _set_field, check_ints
+from .tensor import equal_up_to_padding, kron, strip_padding
 
 
 class Root(_Record):
@@ -138,10 +136,10 @@ def _best_lower(t, koszul=True):
     """The first best flattening lower bound of t, by branch and bound over the candidates' ceilings.
 
     The candidates, in their listing order: gauge point j = 0..k-1, then,
-    with ``koszul`` and t of order 3, the Koszul ratio at p = 1..d3-1 for
-    each level the size guards admit. A candidate's value is at most its
-    ceiling, min(rows, cols) of its matrix over its denominator: min(d_j,
-    the product of the other dims) for gauge j, and
+    with ``koszul`` and t of order 3, the Koszul ratio at each level
+    p = 1..d3-1 that :func:`_koszul_size_error` admits. A candidate's value
+    is at most its ceiling, min(rows, cols) of its matrix over its
+    denominator: min(d_j, the product of the other dims) for gauge j, and
     min(d1 C(d3, p+1), d2 C(d3, p)) / C(d3-1, p) for Koszul p.
 
     Candidates are taken in descending order of ceiling, equal ceilings in
@@ -170,7 +168,7 @@ def _best_lower(t, koszul=True):
         if spec is None:
             value = Fraction(rank(flatten(t, {position})))
             bound = Bound(value, "gauge point", {"kind": "gauge", "factor": position})
-        elif t.dims[0] * spec.out_rows > MATRIX_SIDE_GUARD or _koszul_size_error(t, spec):
+        elif _koszul_size_error(t, spec):
             continue
         else:
             value = flattening_ratio(t, spec)
@@ -293,23 +291,15 @@ def lattice_obstruction(t, other, covering, spec):
     single-copy Koszul flattening F, and rank(A (x) B) = rank(A) * rank(B)
     over any field, so rank F(t)^c < rank F(other)^c exactly when
     rank F(t) < rank F(other). The answer therefore does not depend on the
-    covering c >= 1, and only the single-copy ranks are computed.
+    covering c >= 1 (an int), and only the single-copy ranks are computed.
+    Both flattenings are built first, so what :func:`koszul_flatten`
+    refuses on either side is refused before any rank.
     """
-    if t.order != 3 or other.order != 3:
-        raise ValueError("lattice_obstruction needs order-3 tensors")
+    check_ints((covering,), "covering")
     if covering < 1:
         raise ValueError("covering must be >= 1")
-    for side, tensor in (("source", t), ("target", other)):
-        if tensor.dims[2] != spec.d3:
-            raise ValueError(
-                f"{side} third dimension {tensor.dims[2]} does not match spec d3={spec.d3}"
-            )
-        matrix_side = max(tensor.dims[0] * spec.out_rows, tensor.dims[1] * spec.out_cols)
-        if matrix_side > MATRIX_SIDE_GUARD:
-            raise StructureTooLarge(
-                f"flattening matrix side {matrix_side} exceeds {MATRIX_SIDE_GUARD}"
-            )
-    return rank(koszul_flatten(t, spec)) < rank(koszul_flatten(other, spec))
+    ft, fo = koszul_flatten(t, spec), koszul_flatten(other, spec)
+    return rank(ft) < rank(fo)
 
 
 def lattice_construction(t, other, degcert, family, n):

@@ -39,6 +39,7 @@ class Matrix(Tensor):
 
     @classmethod
     def identity(cls, n, domain=RATIONAL):
+        scalars.check_ints((n,), "identity size n")
         _check_index_components("identity", n, 2)
         one = scalars.one(domain)
         return cls(n, n, {(i, i): one for i in range(n)}, domain)

@@ -2,9 +2,9 @@
 
 All constructors return rational-domain tensors with entries equal to 1
 unless stated otherwise. ``unit`` is an alias for ``ghz``: the unit tensor
-of size r on k factors is the r-level GHZ state. ``ghz`` (so ``unit``,
-``epr`` and ``simple``), ``mamu`` and ``cw`` raise StructureTooLarge (``scalars.check_entry_count``)
-before building a tensor of over ``DENSE_ENTRY_GUARD`` index components (entries times order).
+of size r on k factors is the r-level GHZ state. ``ghz`` (so ``unit``, ``epr``
+and ``simple``), ``mamu`` and ``cw`` refuse a size that is not an int, and raise
+StructureTooLarge before building over ``DENSE_ENTRY_GUARD`` index components (entries times order).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ NAMES = ("GHZ", "W", "EPR", "MaMu", "CW", "Unit")
 
 def ghz(r, k=3):
     """r-level GHZ state on k factors: entries 1 at (i, i, ..., i)."""
+    check_ints((r, k), "ghz r and k")
     if r < 1 or k < 1:
         raise ValueError("ghz needs r >= 1 and k >= 1")
     _check_index_components("GHZ", r, k)
@@ -46,6 +47,7 @@ def mamu(d):
 
     Entry 1 at ((i1,i2), (i2,i3), (i3,i1)) with each pair packed row-major.
     """
+    check_ints((d,), "mamu d")
     if d < 1:
         raise ValueError("mamu needs d >= 1")
     _check_index_components("MaMu", d**3, 3)
@@ -59,6 +61,7 @@ def mamu(d):
 
 def cw(q):
     """q-level EPR pairs embedded in a W pattern: dims (q+1)^3, 3q entries."""
+    check_ints((q,), "cw q")
     if q < 1:
         raise ValueError("cw needs q >= 1")
     _check_index_components("CW", 3 * q, 3)

@@ -16,6 +16,8 @@ from .matrix import Matrix, flatten, rank
 from .scalars import EPS, RATIONAL, QC, _Record, _set_field
 from .tensor import DENSE_ENTRY_GUARD, StructureTooLarge, _tensor
 
+MATRIX_SIDE_GUARD = 10**5
+
 
 def _check_gauge_order(t):
     if t.order < 2:
@@ -78,16 +80,19 @@ class KoszulSpec(_Record):
 
 
 def _koszul_size_error(t, spec):
-    """Why the Koszul flattening of t at ``spec`` is over the size guard, or None.
+    """Why the Koszul flattening of t at ``spec`` may not be built, or None: its one size rule.
 
-    The wedge bases list C(d3, p) + C(d3, p+1) subsets and the matrix gets
-    up to nnz * C(d3-1, p) entries; either count over ``DENSE_ENTRY_GUARD``
-    is refused before anything is listed.
+    Refused, in this order: over ``DENSE_ENTRY_GUARD`` wedge basis subsets, C(d3, p) + C(d3, p+1);
+    a longer side, max(d1 C(d3, p+1), d2 C(d3, p)), over ``MATRIX_SIDE_GUARD``, as exact rank
+    slows with the sides; over ``DENSE_ENTRY_GUARD`` possible entries, nnz * C(d3-1, p).
     """
     where = f"Koszul flattening (d3={spec.d3}, p={spec.p})"
     subsets = spec.out_cols + spec.out_rows
     if subsets > DENSE_ENTRY_GUARD:
         return f"{where} lists {subsets} wedge basis subsets, over {DENSE_ENTRY_GUARD}"
+    side = max(t.dims[0] * spec.out_rows, t.dims[1] * spec.out_cols)
+    if side > MATRIX_SIDE_GUARD:
+        return f"{where}: flattening matrix side {side} exceeds {MATRIX_SIDE_GUARD}"
     entries = t.nnz() * math.comb(spec.d3 - 1, spec.p)
     if entries > DENSE_ENTRY_GUARD:
         return f"{where} may hold {entries} entries, over {DENSE_ENTRY_GUARD}"
@@ -114,8 +119,10 @@ def koszul_flatten(t, spec):
     Result shape: (d1 * C(d3, p+1)) x (d2 * C(d3, p)), wedge basis ordered
     lexicographically by index set, signs from sorted insertion. Entries stay
     in the tensor's domain. The wedge table of each third index is built
-    once, for the indices that occur in t. A flattening over the size guard
-    (:func:`_koszul_size_error`) raises StructureTooLarge.
+    once, for the indices that occur in t. Before anything is listed, an
+    order other than 3 or a third dimension other than ``spec.d3`` raises
+    ValueError, and a flattening over :func:`_koszul_size_error` raises
+    StructureTooLarge.
     """
     if t.order != 3:
         raise ValueError("koszul_flatten needs an order-3 tensor")
@@ -162,8 +169,6 @@ def flattening_ratio(t, spec, trials=64, seed=0):
     :func:`max_simple_koszul_rank`, which is at least 1. Returned as an exact
     Fraction. ``trials`` and ``seed`` are accepted and have no effect.
     """
-    if t.order != 3:
-        raise ValueError("flattening_ratio needs an order-3 tensor")
     return Fraction(rank(koszul_flatten(t, spec)), max_simple_koszul_rank(spec))
 
 

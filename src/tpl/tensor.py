@@ -24,7 +24,7 @@ from itertools import product
 
 from . import scalars
 from .scalars import DENSE_ENTRY_GUARD, EPS, FLOAT, RATIONAL, EpsPoly, StructureTooLarge, check_entry_count
-from .scalars import _common_denominator, _eps, _qc
+from .scalars import _Record, _common_denominator, _eps, _qc, _set_field
 
 
 # Largest packed value, in bits, that the integer lane of apply_product_map
@@ -46,8 +46,8 @@ def check_dense_size(shape, what="dense array"):
     check_entry_count(math.prod(shape), f"{what} of shape {tuple(shape)}")
 
 
-class GroupingSpec:
-    """Ordered partition of factor positions into blocks.
+class GroupingSpec(_Record):
+    """Ordered partition of factor positions into blocks, a record that compares by its blocks.
 
     Each block becomes one factor of the regrouped tensor, with dimension
     the product of the block's dimensions and index packed row-major in
@@ -55,7 +55,7 @@ class GroupingSpec:
     positions; positions are 0-based.
     """
 
-    __slots__ = ("blocks",)
+    __match_args__ = ("blocks",)
 
     def __init__(self, blocks):
         blocks = tuple(scalars.check_ints(b, "grouping positions") for b in blocks)
@@ -67,7 +67,7 @@ class GroupingSpec:
         n = len(flat)
         if set(flat) != set(range(n)):
             raise ValueError("grouping blocks must cover positions 0..n-1")
-        self.blocks = blocks
+        _set_field(self, "blocks", blocks)
 
     @classmethod
     def kron_pairing(cls, k):

@@ -13,7 +13,6 @@ from tpl.asymptotic import (
     Bound,
     BoundReport,
     Root,
-    StructureTooLarge,
     _best_lower,
     disjoint_rank_bounds,
     lattice_construction,
@@ -36,7 +35,7 @@ from tpl.preorder import (
     verify_restriction,
 )
 from tpl.scalars import EPS, EpsPoly, QC
-from tpl.tensor import Tensor, apply_product_map, direct_sum_many, kron
+from tpl.tensor import StructureTooLarge, Tensor, apply_product_map, direct_sum_many, kron
 
 
 def test_unit_size():
@@ -221,6 +220,42 @@ def test_lattice_obstruction_guard():
     big = Tensor((1, 1, 20), {(0, 0, 0): QC(1)})
     with pytest.raises(StructureTooLarge, match="flattening matrix side 184756 exceeds"):
         lattice_obstruction(big, big, 1, KoszulSpec(20, 9))
+
+
+def test_lattice_obstruction_refuses_what_koszul_flatten_refuses_before_any_rank():
+    # The longer side of the p = 12 flattening of e0 (x) e0 (x) e0 in 1x1x20 is C(20, 12) = 125970.
+    line = Tensor((1, 1, 20), {(0, 0, 0): QC(1)})
+    start = time.perf_counter()
+    with pytest.raises(StructureTooLarge, match="flattening matrix side 125970 exceeds"):
+        lattice_obstruction(line, line, 1, KoszulSpec(20, 12))
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("covering", [True, 2.0, 1.5, 0, -1])
+def test_lattice_obstruction_refuses_a_covering_that_is_not_a_positive_int(covering):
+    with pytest.raises(ValueError, match="covering must be"):
+        lattice_obstruction(ghz(3), ghz(3), covering, KoszulSpec(3, 1))
+
+
+@pytest.mark.parametrize("source", [True, False], ids=["source", "target"])
+@pytest.mark.parametrize(
+    "bad, match", [(ghz(3, 2), "order-3"), (ghz(4), "does not match spec d3=3")], ids=["order-2", "d3"]
+)
+def test_lattice_obstruction_refuses_a_tensor_koszul_flatten_refuses_on_either_side(source, bad, match):
+    t, other = (bad, ghz(3)) if source else (ghz(3), bad)
+    with pytest.raises(ValueError, match=match):
+        lattice_obstruction(t, other, 1, KoszulSpec(3, 1))
+
+
+def test_disjoint_lower_bounds_never_rank_a_level_over_the_side_guard(monkeypatch):
+    # 1x1x20: the longer side max(C(20, p+1), C(20, p)) is over 10^5 at p = 7..12. The
+    # rows alone, C(20, p+1), are not at p = 12, whose flattening once took minutes to rank.
+    line = Tensor((1, 1, 20), {(0, 0, 0): QC(1)})
+    seen = []
+    monkeypatch.setattr(asymptotic, "flattening_ratio", lambda t, spec: seen.append(spec.p) or Fraction(1))
+    disjoint_rank_bounds(line, Catalog.packaged())
+    # p = 19 has ceiling 1, the gauge points' value, and is listed after them.
+    assert sorted(seen) == [1, 2, 3, 4, 5, 6, 13, 14, 15, 16, 17, 18]
 
 
 def test_disjoint_lower_bounds_skip_the_koszul_specs_the_size_guard_refuses(monkeypatch):

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import util
 from tpl import asymptotic, obstructions
-from tpl.asymptotic import MATRIX_SIDE_GUARD, Bound, Root, disjoint_rank_bounds, strassen_rank_bounds
+from tpl.asymptotic import Bound, Root, disjoint_rank_bounds, strassen_rank_bounds
 from tpl.catalog import Catalog
 from tpl.matrix import rank
 from tpl.named import epr, ghz, mamu, simple, w_state
@@ -43,7 +43,7 @@ def reference_lower(t, koszul=True):
         d3 = t.dims[2]
         for p in range(1, d3):
             spec = KoszulSpec(d3, p)
-            if t.dims[0] * spec.out_rows > MATRIX_SIDE_GUARD or _koszul_size_error(t, spec):
+            if _koszul_size_error(t, spec):
                 continue
             ratio = flattening_ratio(t, spec)
             ref = {"kind": "koszul", "d3": d3, "p": p, "ratio": str(ratio)}

@@ -20,7 +20,7 @@ from tpl.catalog import Catalog
 from tpl.cli import main
 from tpl.hypergraph import GroupingMap, Hypergraph, make_family, slot_structure
 from tpl.matrix import Matrix
-from tpl.named import NamedTensorSpec, cw, ghz, make_named, mamu, w_state
+from tpl.named import NamedTensorSpec, cw, epr, ghz, make_named, mamu, simple, unit, w_state
 from tpl.obstructions import KoszulSpec
 from tpl.preorder import CertificateError, DegenerationCertificate, RestrictionCertificate
 from tpl.scalars import EPS, EpsPoly, QC, parse_int
@@ -210,6 +210,19 @@ def test_a_json_bool_is_not_a_scalar(capsys, tmp_path, source, value, code):
 def test_make_named_refuses_non_int_parameters(spec):
     with pytest.raises(ValueError, match="parameters must be ints"):
         make_named(spec)
+
+
+@pytest.mark.parametrize(
+    "build, size",
+    [
+        (ghz, True), (ghz, 2.0), (lambda k: ghz(2, k), 3.0), (unit, 2.0), (epr, 2.0), (simple, 3.0),
+        (mamu, True), (mamu, 2.0), (cw, True), (cw, 2.0), (Matrix.identity, True), (Matrix.identity, 2.0),
+    ],
+)
+def test_named_sizes_refuse_bools_and_floats(build, size):
+    # mamu(True) used to build the 1x1x1 tensor and cw(True) the 2x2x2 one.
+    with pytest.raises(ValueError, match="must be ints"):
+        build(size)
 
 
 @pytest.mark.parametrize("n, k", [(True, 3), (2.0, 3), (2, 3.0)])

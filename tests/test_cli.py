@@ -332,6 +332,20 @@ def test_obstruct_refuses_an_oversized_koszul_flattening_fast(capsys, tmp_path):
     assert err.startswith("tpl: Koszul flattening (d3=30, p=15) lists") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "dims, argv",
+    [((1, 1, 20), ["--p", "12"]), ((10**8, 10**8, 1), [])],
+    ids=["line-p12", "huge-p0"],
+)
+def test_obstruct_refuses_a_koszul_flattening_over_the_side_guard_fast(capsys, tmp_path, dims, argv):
+    path = _tensor_file(tmp_path, "t.json", Tensor(dims, {(0, 0, 0): QC(1)}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["obstruct", "--tensor", path, *argv])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.startswith("tpl: Koszul flattening") and "flattening matrix side" in err
+
+
 @pytest.mark.parametrize("operation", ["flatten", "rank"])
 @pytest.mark.parametrize("left", ["x", "7", "0,1,2"])
 def test_op_bad_left_usage_error(capsys, w_path, operation, left):
@@ -588,12 +602,11 @@ def test_cert_verify_huge_degree_span_exits_one(capsys, ghz2_path, w_path, tmp_p
 
 
 def test_obstruct_dense_guard_exits_one(capsys, tmp_path):
-    # The float SVD would need a 10^8 x 10^8 dense flattening.
-    path = tmp_path / "huge.json"
-    path.write_text(jsonio.dumps_pretty(jsonio.tensor_to_json(Tensor((10**8, 10**8, 1), {(0, 0, 0): QC(1)}))))
-    code, out, err = run(capsys, ["obstruct", "--tensor", str(path)])
+    # The Koszul flattening passes, but the float SVD would need a 2000 x 1000 dense flattening.
+    path = _tensor_file(tmp_path, "tall.json", Tensor((2000, 1000, 1), {(0, 0, 0): QC(1)}))
+    code, out, err = run(capsys, ["obstruct", "--tensor", path])
     assert (code, out) == (1, "")
-    assert err.startswith("tpl: ") and "dense" in err
+    assert err.startswith("tpl: ") and "dense array of shape (2000, 1000)" in err
 
 
 # Bad but well-formed input: a typed error exits 1, an unreadable or

@@ -207,6 +207,29 @@ def test_koszul_flatten_refuses_an_oversized_flattening_before_building():
     assert koszul_flatten(ones, KoszulSpec(20, 3)).dims == (4 * 4845, 4 * 1140)
 
 
+def test_koszul_flatten_refuses_a_longer_side_over_the_side_guard_before_building():
+    # e0 (x) e0 (x) e0 in 1x1x20 at p = 12: a C(20, 13) x C(20, 12) = 77520 x 125970 matrix.
+    line = Tensor((1, 1, 20), {(0, 0, 0): QC(1)})
+    for build in (koszul_flatten, flattening_ratio):
+        start = time.perf_counter()
+        with pytest.raises(StructureTooLarge, match=r"\(d3=20, p=12\): flattening matrix side 125970 exceeds 100000"):
+            build(line, KoszulSpec(20, 12))
+        assert time.perf_counter() - start < 1
+    assert koszul_flatten(line, KoszulSpec(20, 13)).dims == (38760, 77520)
+    # A tall flattening is cheap but refused all the same: side d1 at d3 = 1, p = 0.
+    assert koszul_flatten(Tensor((10**5, 1, 1), {(0, 0, 0): QC(1)}), KoszulSpec(1, 0)).dims == (10**5, 1)
+    with pytest.raises(StructureTooLarge, match="side 100001 exceeds"):
+        koszul_flatten(Tensor((10**5 + 1, 1, 1), {(0, 0, 0): QC(1)}), KoszulSpec(1, 0))
+
+
+def test_koszul_flatten_and_flattening_ratio_refuse_other_orders_and_d3():
+    for build in (koszul_flatten, flattening_ratio):
+        with pytest.raises(ValueError, match="order-3"):
+            build(ghz(3, 2), KoszulSpec(3, 1))
+        with pytest.raises(ValueError, match="does not match spec d3=4"):
+            build(ghz(3), KoszulSpec(4, 1))
+
+
 def test_max_simple_rank_uses_closed_value():
     assert max_simple_koszul_rank(KoszulSpec(3, 1), trials=0) == 2
 

@@ -15,7 +15,7 @@ import pytest
 
 from tpl.asymptotic import Bound, BoundReport, Root
 from tpl.catalog import CatalogEntry, Degeneration
-from tpl.hypergraph import FoldResult, GroupingMap, make_family
+from tpl.hypergraph import FoldResult, GroupingMap, fold, make_family
 from tpl.matrix import Matrix
 from tpl.named import NamedTensorSpec, ghz, w_state
 from tpl.obstructions import KoszulSpec, ThetaWeights
@@ -27,7 +27,6 @@ W = w_state()
 I2 = Matrix.identity(2)
 E2 = Matrix(2, 2, {(0, 0): EpsPoly.eps(1), (1, 1): EpsPoly.const(1)}, EPS)
 FAN = make_family("Fan", 2)
-SLOTS = GroupingSpec([(0, 3), (1, 4), (2, 5)])  # compares by identity, so every case shares it
 HALF = Fraction(1, 2)
 LOW = Bound(Fraction(2), "gauge point", {"kind": "gauge", "factor": 0})
 HIGH = Bound(Root(27, 2), "kronecker power", {"kind": "power", "n": 2})
@@ -83,8 +82,8 @@ CASES = [
     (
         FoldResult,
         ("hypergraph", "slot_grouping"),
-        (FAN, SLOTS),
-        (make_family("Fan", 3), SLOTS),
+        (FAN, GroupingSpec([(0, 3), (1, 4), (2, 5)])),
+        (make_family("Fan", 3), GroupingSpec([(0, 3), (1, 4), (2, 5)])),
         "FoldResult(hypergraph=Hypergraph(4 vertices, 2 edges), "
         "slot_grouping=GroupingSpec([(0, 3), (1, 4), (2, 5)]))",
     ),
@@ -121,8 +120,6 @@ CASES = [
 ]
 IDS = [case[0].__name__ for case in CASES]
 HASHABLE = (GroupingMap, KoszulSpec, ThetaWeights)
-# FoldResult's slot grouping compares by identity, so a deep copy of it is not ==.
-IDENTITY_FIELDS = (FoldResult,)
 
 
 @pytest.mark.parametrize("cls, names, values, other, text", CASES, ids=IDS)
@@ -222,13 +219,27 @@ def _round_trips(rec):
 @pytest.mark.parametrize("cls, names, values, other, text", CASES, ids=IDS)
 def test_copies_and_pickles_round_trip(cls, names, values, other, text):
     rec = cls(*values)
-    for i, twin in enumerate(_round_trips(rec)):
+    for twin in _round_trips(rec):
         assert type(twin) is cls
         assert repr(twin) == text
-        if i == 0 or cls not in IDENTITY_FIELDS:
-            assert twin == rec
+        assert twin == rec
         with pytest.raises(AttributeError):
             setattr(twin, names[0], 0)
+
+
+def test_folds_and_their_slot_groupings_compare_by_value():
+    a, b = fold(FAN, [0, 1, 2, 2]), fold(FAN, [0, 1, 2, 2])
+    assert a.slot_grouping is not b.slot_grouping
+    assert a == b and hash(a.slot_grouping) == hash(b.slot_grouping)
+    for twin in _round_trips(a):
+        assert twin == a and twin.slot_grouping == a.slot_grouping
+    spec = GroupingSpec([(0,), (1, 2)])
+    assert spec == GroupingSpec([[0], [1, 2]]) and hash(spec) == hash(GroupingSpec([[0], [1, 2]]))
+    assert spec != GroupingSpec([(1, 2), (0,)]) and spec != GroupingSpec([(0, 1), (2,)])
+    assert spec != ((0,), (1, 2)) and spec.__eq__(((0,), (1, 2))) is NotImplemented
+    assert len({spec, GroupingSpec([(0,), (1, 2)]), GroupingSpec([(1, 2), (0,)])}) == 2
+    with pytest.raises(AttributeError):
+        spec.blocks = ((0, 1, 2),)
 
 
 def _message(build, error):
